@@ -1,22 +1,21 @@
 """Compiled agent-stack dispatch measured: flat chains vs the tower.
 
-PR 7 compiles a process's emulation vector into one flat closure per
-syscall number (:mod:`repro.kernel.compile`): transparent toolkit
-layers collapse to their fills plus one normalization, opaque layers
-with stock machinery are entered by direct method call, and every
-agent's downcalls skip the flattened sub-tower below it.  This
-benchmark prices the claim with the paired, interleaved protocol of
+The dispatch table (:mod:`repro.kernel.compile`) gives each interposed
+syscall number one flat closure: transparent toolkit layers collapse
+to their fills plus one normalization, opaque layers with stock
+machinery are entered by direct method call, and every agent's
+downcalls skip the flattened sub-tower below it.  This benchmark
+prices the claim with the paired, interleaved protocol of
 ``bench_kernel_fastpath``:
 
-* **tower** is the PR 2 configuration (namecache, trap_fast,
-  zero_copy) with ``compiled`` off — the dispatch path every earlier
-  benchmark measured.
+* **tower** is the default configuration with the ``trap_fast`` flag
+  off (namecache, zero_copy): every trap walks the layer tower.
 * **compiled** is the default configuration: the same flags plus the
-  compiled dispatch tables.
+  dispatch tables.
 
 The honest split, recorded in ``docs/PERFORMANCE.md``: rows dominated
-by *dispatch* (a transparent stack, a trace agent's own forwards, a
-homogeneous ``trap_many`` batch) win 2-6x; rows dominated by *agent
+by *dispatch* (a transparent stack, a trace agent's own forwards) win
+2-6x; rows dominated by *agent
 work* (the trace agent's formatting, the monitor's counters) win what
 Amdahl allows — the compiled path only removes the layer walk, never
 the agent's code, which is exactly the transparency contract.
@@ -40,9 +39,9 @@ CONFIGS = ("tower", "compiled")
 
 
 def fastpath_config(name):
-    """``tower`` is PR 2's full configuration with ``compiled`` off."""
+    """``tower`` is the full configuration with ``trap_fast`` off."""
     if name == "tower":
-        return FastPathConfig.parse("namecache,trap_fast,zero_copy")
+        return FastPathConfig.parse("namecache,zero_copy")
     return FastPathConfig()
 
 
@@ -191,17 +190,6 @@ def micro_rows(calls=2000, configs=CONFIGS):
             ctx.trap(NR_READV, fd, (512, 512, 512, 512))
         return op
 
-    def _batch(config):
-        ctx = _null_world(config)
-        payload = [()] * 32
-        if ctx.kernel.fastpaths.compiled:
-            return lambda: ctx.trap_many(NR_GETPID, payload)
-
-        def tower_op():
-            for _ in range(32):
-                ctx.trap(NR_GETPID)
-        return tower_op
-
     operations = (
         ("getpid: transparent agent", calls, _trap_getpid),
         ("getpid: trace agent", calls, _trace_getpid),
@@ -211,16 +199,10 @@ def micro_rows(calls=2000, configs=CONFIGS):
         ("stat: txn agent", calls, _txn_stat),
         ("read 512: union+txn+monitor", calls, _stack_read),
         ("readv 4x512: stock path agent", calls, _vector_read),
-        # The batch row compares the trap_many kernel entry (one lock
-        # acquisition per homogeneous batch) against the tower issuing
-        # the same 32 traps one at a time; cost is per *call*.
-        ("trap_many: getpid batch of 32", max(64, calls // 16), _batch),
     )
     rows = []
     for op, op_calls, builder in operations:
         best = _interleaved_usec({c: builder(c) for c in configs}, op_calls)
-        if op.startswith("trap_many"):
-            best = {c: usec / 32.0 for c, usec in best.items()}
         for config in configs:
             rows.append((op, config, best[config]))
     return rows
@@ -240,9 +222,9 @@ def ratios(rows):
 
 def test_compiled_dispatch_bound_micros_win(benchmark):
     """The gate on dispatch-bound rows, where the compiled chains do
-    all the work: a transparent stack's trap, a trace agent interposed
-    over an existing stack (its forwards flatten the sub-tower), and a
-    homogeneous batch.  Local margins are 2.0-6x; the gates sit far
+    all the work: a transparent stack's trap, and a trace agent
+    interposed over an existing stack (its forwards flatten the
+    sub-tower).  Local margins are 2.0-6x; the gates sit far
     below them so a shared CI host's jitter cannot trip the alarm while
     a real regression (a chain that re-grew a layer walk) still does.
     """
@@ -253,7 +235,6 @@ def test_compiled_dispatch_bound_micros_win(benchmark):
         {op: round(ratio, 2) for op, ratio in by_ratio.items()})
     assert by_ratio["getpid: transparent agent"] >= 1.4, by_ratio
     assert by_ratio["getpid: trace over 2 layers"] >= 1.3, by_ratio
-    assert by_ratio["trap_many: getpid batch of 32"] >= 2.0, by_ratio
 
 
 def test_compiled_beats_tower_on_trace_micros(benchmark):
@@ -274,7 +255,7 @@ def test_compiled_beats_tower_on_trace_micros(benchmark):
 
 
 def test_compiled_off_bit_for_bit():
-    """With ``compiled`` off the tower configuration must remain
+    """With ``trap_fast`` off the tower configuration must remain
     byte-identical to the seed — and the compiled configuration must
     match them both on the flagship workload's output document.
     """
@@ -282,14 +263,14 @@ def test_compiled_off_bit_for_bit():
     from repro.workloads import format_dissertation
 
     outputs = {}
-    for flags in ("none", "namecache,trap_fast,zero_copy", None):
+    for flags in ("none", "namecache,zero_copy", None):
         world = (boot_world() if flags is None
                  else boot_world(fastpaths=flags))
         format_dissertation.setup(world)
         status = format_dissertation.run(world)
         assert WEXITSTATUS(status) == 0
         outputs[flags] = world.read_file(format_dissertation.OUTPUT)
-    assert outputs["none"] == outputs["namecache,trap_fast,zero_copy"]
+    assert outputs["none"] == outputs["namecache,zero_copy"]
     assert outputs["none"] == outputs[None]
     assert len(outputs["none"]) > 10_000
 

@@ -91,7 +91,7 @@ class TxnPathname(Pathname):
         if self.pset.exists_logically(self.logical):
             raise SyscallError(EEXIST, self.logical)
         self.pset.clear_whiteout(self.logical)
-        self.pset.record_mkdir(self.logical)
+        self.pset.record_mkdir(self.logical, mode)
         return 0
 
     def rmdir(self):
@@ -199,13 +199,10 @@ class TxnPathnameSet(PathnameSet):
         """Where reads of *logical* actually go (shadow or real)."""
         if logical in self.shadows:
             return self.shadows[logical]
-        for made in self.made_dirs:
-            if logical == made:
-                # A directory created in the transaction is backed by a
-                # scratch directory so opens and listings work.
-                return self._dir_shadow(made)
-            if logical.startswith(made + "/"):
-                break
+        if logical in self.made_dirs:
+            # A directory created in the transaction is backed by a
+            # scratch directory so opens and listings work.
+            return self._dir_shadow(logical)
         return logical
 
     # -- overlay state ------------------------------------------------------
@@ -219,23 +216,34 @@ class TxnPathnameSet(PathnameSet):
                     raise
             self._scratch_ready = True
 
-    def _new_shadow(self):
+    def _new_shadow(self, logical=None):
+        """A fresh scratch file for *logical*'s contents.
+
+        A file in a directory the transaction made lives under its own
+        name in that directory's shadow, so the shadow holds the entries
+        the logical directory has (and ``stat`` reports its size).  Under
+        savepoints the name may still belong to a shadow kept for
+        rollback, so every shadow gets a fresh serial name there.
+        """
         self._ensure_scratch()
+        if logical is not None and not self._sp_stack:
+            parent, _, name = logical.rpartition("/")
+            if parent in self.made_dirs:
+                return self._dir_shadow(parent) + "/" + name
         self._serial += 1
         return "%s/shadow.%d" % (self.scratch_dir, self._serial)
 
     def _dir_shadow(self, logical):
-        self._ensure_scratch()
-        shadow = "%s/dir.%s" % (
+        """The scratch directory backing *logical*, a directory made in
+        the transaction: inside its parent's shadow when the transaction
+        made the parent too, so the scratch tree mirrors the logical one."""
+        parent, _, name = logical.rpartition("/")
+        if parent in self.made_dirs:
+            return self._dir_shadow(parent) + "/" + name
+        return "%s/dir.%s" % (
             self.scratch_dir,
             logical.strip("/").replace("/", "__"),
         )
-        try:
-            self.syscall_down("mkdir", shadow, 0o700)
-        except SyscallError as err:
-            if err.errno != EEXIST:
-                raise
-        return shadow
 
     def is_whited_out(self, logical):
         """True when the transaction removed *logical*."""
@@ -281,7 +289,7 @@ class TxnPathnameSet(PathnameSet):
                 self._note_undo(undo)
                 self.shadows[logical] = fresh
             return self.shadows[logical]
-        shadow = self._new_shadow()
+        shadow = self._new_shadow(logical)
         if seed:
             try:
                 data = self._slurp(logical)
@@ -323,8 +331,8 @@ class TxnPathnameSet(PathnameSet):
             self._unlink_quiet(shadow)
         self.whiteouts.add(logical)
 
-    def record_mkdir(self, logical):
-        """Remember a directory creation."""
+    def record_mkdir(self, logical, mode=0o777):
+        """Remember a directory creation; its shadow gets *mode*."""
         self.made_dirs.append(logical)
         if self._sp_stack:
             def undo(logical=logical):
@@ -332,7 +340,12 @@ class TxnPathnameSet(PathnameSet):
                     self.made_dirs.remove(logical)
 
             self._note_undo(undo)
-        self._dir_shadow(logical)
+        self._ensure_scratch()
+        try:
+            self.syscall_down("mkdir", self._dir_shadow(logical), mode)
+        except SyscallError as err:
+            if err.errno != EEXIST:
+                raise
 
     def record_rmdir(self, logical):
         """Remember a directory removal."""

@@ -1,64 +1,59 @@
-"""Compiled agent-stack dispatch: flat per-syscall chains.
+"""Dispatch tables: one per emulation vector, one row per call number.
 
 The paper prices interposition at ~37 µs per redirected trap; our
 tower pays that price in Python attribute lookups — every interposed
 trap walks boilerplate → numeric → symbolic → desc/path routing →
-downcall, re-deciding the same route on every call.  This module does
-the deciding once.  :func:`build_compiled_dispatch` walks a process's
-emulation vector and, per syscall number, collapses every layer that
-:mod:`repro.toolkit.compile_support` can prove transparent into one
-flat closure: default-fill the arguments, run the terminal (the kernel
-implementation under a single lock acquisition, or the first opaque
-handler below), then apply the numeric layer's errno/two-register
-normalization once.
+downcall, re-deciding the same route on every call.  This module
+decides once per call number, on the number's first use, the way
+ASC-Hook rewrites a call site the first time it runs.
 
-Three kinds of product:
+A :class:`DispatchTable` maps a syscall number to ``row(ctx, args)``;
+:meth:`~repro.kernel.trap.UserContext.trap` calls
+``proc.dispatch[number]``, and a miss runs
+:func:`build_compiled_dispatch` for that one number.  A row is one of:
 
-* **trap-entry closures** — stored in ``proc.compiled_dispatch`` as
-  ``(fn, fn_many)`` rows; :meth:`~repro.kernel.trap.UserContext.trap`
-  runs ``fn`` instead of the tower when no observer stands in the way.
-  ``fn_many`` (kernel-terminated chains only) runs a homogeneous batch
-  under one lock acquisition for
-  :meth:`~repro.kernel.trap.UserContext.trap_many`.
-* **downcall closures** — stored per agent in ``agent._down_compiled``;
-  :meth:`~repro.toolkit.boilerplate.Agent.syscall_down_numeric`
-  consults them so that even an *opaque* agent's forwards (the trace
-  agent's log writes, say) skip the flattened sub-tower below it.
+* a **kernel terminal** — the number is not interposed: the row enters
+  the kernel through :func:`~repro.kernel.trap.kernel_entry`;
+* a **compiled chain** — the number is interposed, and every layer that
+  :mod:`repro.toolkit.compile_support` can prove transparent collapses
+  into one flat closure: default-fill the arguments, run the terminal
+  (the kernel under the downcall's charges, or the first opaque handler
+  below), then apply the numeric layer's errno/two-register
+  normalization once;
+* the **tower** — anything else (:func:`~repro.kernel.trap.tower`).
 
-**Invalidation.**  ``proc.compiled_dispatch`` is reset to ``None`` —
-rebuild lazily — exactly like PR 2's ``fast_dispatch``: on
-``task_set_emulation``, on native ``execve``, and on guard-rail agent
-ejection; fork children start with a fresh ``None``.  Downcall chains
-additionally bake which handler sits below each agent, and ``_down``
-maps are shared by every process the agent serves, so every ``_down``
-mutation bumps a global :data:`DOWN_EPOCH`; closures carry the epoch
-they were built under and stand down (run the original tower) on any
-mismatch, which makes cross-process staleness impossible rather than
-merely unlikely.  Stale closures also *self-heal*: a trap-entry closure
-drops the whole ``proc.compiled_dispatch`` table (the next trap
-rebuilds it against the new chain shape) and a downcall closure evicts
-its own cache entry — without this, one late agent attach anywhere
-would permanently degrade every already-built table to tower speed.
+Every toolkit agent also keeps a table of its *downcalls*
+(``agent._down_compiled``, over its ``_down`` map).  Its rows flatten
+the sub-tower below the agent, so that even an opaque agent's forwards
+(the trace agent's log writes, say) skip it; a ``None`` row means the
+plain downcall.
 
-**Stand-down.**  Compiled chains run only when they are observably
-identical to the tower: the trap entry requires no recorder, no obs,
-no guard (all checked upstream in ``trap``), no dfstrace and no ktrace
-flag; downcall closures re-check recorder/obs/dfstrace at call time
-(ktrace matters only via obs on this path).  With the ``compiled``
-fast-path flag off, :data:`_COMPILED_DISABLED` — an always-empty
-table — makes the whole feature one dict lookup that misses.
+**Sharing and invalidation.**  Rows bind no process, so one table
+serves every process with the vector it was built for: fork shares it
+by reference, native ``execve`` points the process at the shared
+empty-vector table, and ``task_set_emulation`` and guard-rail ejection
+give the process a fresh table.  A chain also bakes which handler sits
+below each agent, and an agent's ``_down`` map is shared by every
+process it serves, so every ``_down`` mutation gives the agent a fresh
+downcall table and bumps the global :data:`DOWN_EPOCH`.  A chain
+carries the epoch it was built under; on a mismatch it takes the
+original route once and evicts its own row, which the next miss
+rebuilds against the new chain shape.
+
+**Stand-down.**  A row takes its short route only when that is
+observably identical to the tower.  Recorded and observed traps never
+reach the table.  Kernel terminals stand down under dfstrace and the
+ktrace flag; compiled chains also under the guard rail and the
+profiler; downcall chains under the recorder, obs, dfstrace and the
+profiler.  With the ``trap_fast`` flag off every process uses
+:data:`_TOWER`, whose rows are all the tower.
 """
 
-from repro.kernel.errno import EINVAL, SyscallError
+from repro.kernel.errno import SyscallError
 from repro.kernel.sysent import SYSCALLS, TWO_REGISTER_CALLS
 
-#: shared sentinel installed as ``proc.compiled_dispatch`` when the
-#: compiled fast path is configured off: every lookup misses, so the
-#: disabled cost is one ``dict.get`` per interposed trap
-_COMPILED_DISABLED = {}
-
-#: bumped on every agent ``_down`` mutation; compiled closures carry
-#: the epoch they were built under and fall back to the tower on any
+#: bumped on every agent ``_down`` mutation; compiled chains carry the
+#: epoch they were built under and take the original route on any
 #: mismatch (see module docstring: the map is shared across processes)
 DOWN_EPOCH = [0]
 
@@ -68,67 +63,113 @@ def note_down_mutation():
     DOWN_EPOCH[0] += 1
 
 
-def _kernel_terminal(number, baked_interposed):
-    """A flat closure with the tower's htg + do_syscall semantics.
+class DispatchTable(dict):
+    """Rows for one emulation vector, each built on its number's first miss.
 
-    Replays, in order: the downcall's kernel-crossing charge
-    (``ru_nsyscalls``), the interposed-number accounting tax, the
-    sysent arity check, the clock tick / system-time charge / alarm
-    check, then the implementation — under **one** lock acquisition
-    where the tower takes two (htg body, then ``do_syscall``), which is
-    unobservable because nothing on this path runs between them.
-    Trap-entry chains bake the membership test ``True`` (the table is
-    invalidated whenever the vector changes); downcall chains re-check
-    it, because one agent serves every process forked under it.
-    Returns ``None`` when the kernel does not implement *number*.
+    *vector* maps number → handler: a snapshot of a process's emulation
+    vector or, with *agent* set, that agent's ``_down`` map.  ``None``
+    makes the tower-only table the ``trap_fast`` flag selects when off.
     """
+
+    __slots__ = ("vector", "agent")
+
+    def __init__(self, vector, agent=None):
+        super().__init__()
+        self.vector = vector
+        self.agent = agent
+
+    def __missing__(self, number):
+        # Unlocked: two processes missing on the same number at once
+        # build equivalent rows, and either store may win.
+        row = self[number] = build_compiled_dispatch(self, number)
+        return row
+
+
+#: shared by every process with an empty emulation vector
+_EMPTY = DispatchTable({})
+#: shared by every process when the ``trap_fast`` flag is off
+_TOWER = DispatchTable(None)
+
+
+def dispatch_table(kernel, vector):
+    """The table for a process whose emulation vector is *vector*."""
+    if not kernel.fastpaths.trap_fast:
+        return _TOWER
+    if not vector:
+        return _EMPTY
+    return DispatchTable(dict(vector))
+
+
+def _implementation(number):
+    """``(impl, sysent entry)`` for *number*, or ``None`` if unimplemented."""
+    # Imported here: repro.kernel.syscalls imports the process module,
+    # which imports this one — a top-level import would cycle.
     from repro.kernel.syscalls import DISPATCH
 
     impl = DISPATCH.get(number)
     entry = SYSCALLS.get(number)
     if impl is None or entry is None:
         return None
-    nargs = entry.nargs
-    name = entry.name
-    if baked_interposed:
-        def terminal(ctx, args):
-            kernel = ctx.kernel
-            proc = ctx.proc
-            rusage = proc.rusage
-            rusage.ru_nsyscalls += 1
-            with kernel._sleepq:
-                rusage.ru_stime_usec += 1
-                if len(args) > nargs:
-                    raise SyscallError(
-                        EINVAL, "%s takes %d args" % (name, nargs))
-                kernel.clock.tick()
-                rusage.ru_stime_usec += 100
-                kernel._check_alarm_locked(proc)
-                return impl(kernel, proc, *args)
-    else:
-        def terminal(ctx, args):
-            kernel = ctx.kernel
-            proc = ctx.proc
-            rusage = proc.rusage
-            rusage.ru_nsyscalls += 1
-            with kernel._sleepq:
-                if number in proc.emulation_vector:
-                    rusage.ru_stime_usec += 1
-                if len(args) > nargs:
-                    raise SyscallError(
-                        EINVAL, "%s takes %d args" % (name, nargs))
-                kernel.clock.tick()
-                rusage.ru_stime_usec += 100
-                kernel._check_alarm_locked(proc)
-                return impl(kernel, proc, *args)
-    return terminal
+    return impl, entry
 
 
-def _below_terminal(below, number):
-    """Terminate a collapsed prefix at the first opaque handler."""
+def _kernel_row(number):
+    """The row of an uninterposed number: straight into the kernel."""
+    from repro.kernel.trap import kernel_entry
+
+    found = _implementation(number)
+    if found is None:
+        return None
+    impl, entry = found
+
+    def row(ctx, args):
+        kernel = ctx.kernel
+        proc = ctx.proc
+        if kernel.dfstrace is None and not proc.ktrace_on:
+            kernel.trap_fast_total += 1
+            return kernel_entry(kernel, proc, impl, entry, args)
+        return kernel.do_syscall(proc, number, args)
+
+    return row
+
+
+def _kernel_terminal(number):
+    """A chain's kernel terminal, with the htg downcall's charges.
+
+    Replays the downcall's kernel-crossing charge (``ru_nsyscalls``)
+    and the interposed-number system-time tax, then enters the kernel.
+    Returns ``None`` when the kernel does not implement *number*.
+    """
+    from repro.kernel.trap import kernel_entry
+
+    found = _implementation(number)
+    if found is None:
+        return None
+    impl, entry = found
+
     def terminal(ctx, args):
-        return below(ctx, number, tuple(args))
+        # Charged outside the kernel lock, like the trap's own crossing
+        # charge: only the process's own thread writes its rusage.
+        proc = ctx.proc
+        rusage = proc.rusage
+        rusage.ru_nsyscalls += 1
+        if number in proc.emulation_vector:
+            rusage.ru_stime_usec += 1
+        return kernel_entry(ctx.kernel, proc, impl, entry, args)
+
     return terminal
+
+
+def _call(handler, number):
+    """The original route through *handler* (``None``: the htg downcall),
+    for a chain's opaque terminal, stand-down, and arity bailout."""
+    if handler is None:
+        def call(ctx, args):
+            return ctx.htg(number, *args)
+    else:
+        def call(ctx, args):
+            return handler(ctx, number, tuple(args))
+    return call
 
 
 def _method_terminal(agent, method):
@@ -152,9 +193,9 @@ def _opaque_chain(support, handler, number):
     """Collapse an opaque layer's entry tower into a direct method call.
 
     Returns a chain callable, or ``None`` when the layer's machinery is
-    not provably stock.  Serves both as a compiled entry for an opaque
-    *top* layer and as the terminal of a collapsed transparent prefix,
-    so even chains that end in real agent code shed the per-call layer
+    not provably stock.  Serves both as the chain of an opaque *top*
+    layer and as the terminal of a collapsed transparent prefix, so
+    even chains that end in real agent code shed the per-call layer
     walk.  An argument count the fill cannot replay bails to the
     original handler, keeping the tower's ``TypeError`` byte-identical.
     """
@@ -164,25 +205,7 @@ def _opaque_chain(support, handler, number):
     agent, method, fill = plan
     return _make_chain(number, [fill], True,
                        _method_terminal(agent, method),
-                       _tower_fallback(handler, number))
-
-
-def _down_fallback(below, number):
-    """The original downcall route, for stand-down and arity bailout."""
-    if below is None:
-        def fallback(ctx, args):
-            return ctx.htg(number, *args)
-    else:
-        def fallback(ctx, args):
-            return below(ctx, number, tuple(args))
-    return fallback
-
-
-def _tower_fallback(handler, number):
-    """The original trap-entry handler, for arity bailout."""
-    def fallback(ctx, args):
-        return handler(ctx, number, args)
-    return fallback
+                       _call(handler, number))
 
 
 def _make_chain(number, fills, normalize, terminal, fallback):
@@ -231,242 +254,105 @@ def _make_chain(number, fills, normalize, terminal, fallback):
     return chain
 
 
-def _make_entry(chain, handler, number):
-    """The trap-entry closure: epoch guard, counter, then the chain."""
-    epoch = DOWN_EPOCH[0]
+def _flatten(handler, number, fallback):
+    """Collapse the handler chain from *handler* (``None``: the kernel)
+    into one closure, or ``None`` when the chain offers nothing to skip.
 
-    def entry(ctx, args):
-        if DOWN_EPOCH[0] != epoch:
-            # Self-heal: drop the whole table so the next trap rebuilds
-            # it against the new chain shape, instead of paying the
-            # tower forever because an unrelated attach bumped the epoch.
-            ctx.proc.compiled_dispatch = None
-            return handler(ctx, number, args)
-        ctx.kernel.trap_compiled_total += 1
-        return chain(ctx, args)
-
-    return entry
-
-
-def _make_down(chain, fallback, cache, number):
-    """A downcall closure: stands down under any live observer."""
-    epoch = DOWN_EPOCH[0]
-
-    def down(ctx, args):
-        kernel = ctx.kernel
-        if (DOWN_EPOCH[0] == epoch and kernel.recorder is None
-                and kernel.obs is None and kernel.dfstrace is None
-                and kernel.profiler is None):
-            kernel.down_compiled_total += 1
-            return chain(ctx, tuple(args))
-        if DOWN_EPOCH[0] != epoch:
-            # Self-heal: evict this stale entry and retire the calling
-            # process's table, so its next trap rebuilds everything —
-            # including this cache — against the new chain shape.  (An
-            # opaque-topped vector has no entry closures to notice the
-            # stale epoch, so the down path must trigger the rebuild.)
-            cache.pop(number, None)
-            ctx.proc.compiled_dispatch = None
-        return fallback(ctx, args)
-
-    return down
-
-
-def _make_entry_many(number, fills, normalize, deliver_pending_signals):
-    """The single-lock batch variant of a kernel-terminated entry.
-
-    Runs a list of argument vectors through the flat chain while
-    holding the kernel lock once, replaying the per-call accounting
-    (trap and crossing counters, tick, system time, alarm check) each
-    iteration.  The lock is dropped — and re-taken — whenever a signal
-    becomes pending, so boundary delivery interleaves exactly as a
-    sequential trap loop would.  Returns ``NotImplemented`` when the
-    batch cannot be proven equivalent up front (stale epoch, an arity
-    that the tower would crash or message differently), and the caller
-    falls back to issuing the traps one by one.
+    Walks the transparent prefix of toolkit layers down each agent's
+    ``_down`` map and terminates at the kernel or at the first opaque
+    handler, entered by a direct method call where its machinery is
+    stock.
     """
-    from repro.kernel.syscalls import DISPATCH
-
-    impl = DISPATCH.get(number)
-    entry = SYSCALLS.get(number)
-    if impl is None or entry is None:
-        return None
-    nargs = entry.nargs
-    name = entry.name
-    two_register = normalize and number in TWO_REGISTER_CALLS
-    fills = tuple(fills)
-    epoch = DOWN_EPOCH[0]
-
-    def entry_many(ctx, calls):
-        if DOWN_EPOCH[0] != epoch:
-            ctx.proc.compiled_dispatch = None  # self-heal, as in entry
-            return NotImplemented
-        filled = []
-        for args in calls:
-            args = tuple(args)
-            for required, nparams, defaults in fills:
-                count = len(args)
-                if count < required or count > nparams:
-                    return NotImplemented
-                if count < nparams:
-                    args = args + defaults[count - required:]
-            filled.append(args)
-        kernel = ctx.kernel
-        proc = ctx.proc
-        rusage = proc.rusage
-        results = []
-        index = 0
-        total = len(filled)
-        while index < total:
-            caught = None
-            with kernel._sleepq:
-                while index < total:
-                    args = filled[index]
-                    kernel.trap_total += 1
-                    kernel.trap_compiled_total += 1
-                    rusage.ru_nsyscalls += 2
-                    rusage.ru_stime_usec += 1
-                    try:
-                        if len(args) > nargs:
-                            raise SyscallError(
-                                EINVAL,
-                                "%s takes %d args" % (name, nargs))
-                        kernel.clock.tick()
-                        rusage.ru_stime_usec += 100
-                        kernel._check_alarm_locked(proc)
-                        value = impl(kernel, proc, *args)
-                    except SyscallError as exc:
-                        caught = exc
-                        break
-                    if two_register:
-                        if isinstance(value, tuple):
-                            first, second = value
-                            value = (first, second)
-                        else:
-                            value = (value, 0)
-                    results.append(value)
-                    index += 1
-                    if proc.pending:
-                        break
-            if caught is not None:
-                deliver_pending_signals(ctx)
-                if normalize:
-                    raise SyscallError(caught.errno)
-                raise caught
-            if proc.pending:
-                deliver_pending_signals(ctx)
-        return results
-
-    return entry_many
-
-
-def build_compiled_dispatch(kernel, proc):
-    """Compile *proc*'s emulation vector into flat per-number chains.
-
-    Returns the table for ``proc.compiled_dispatch``: syscall number →
-    ``(fn, fn_many)``.  Numbers whose chain offers no win (opaque at
-    the top, or no kernel implementation) simply have no row — the
-    trap's ``get`` misses and the tower runs.  As a side effect, every
-    toolkit agent found on a chain gets its ``_down_compiled`` map
-    populated for this number, flattening the sub-tower below it even
-    when the agent itself is opaque.
-    """
-    if not kernel.fastpaths.compiled:
-        return _COMPILED_DISABLED
-    # Imported here: the toolkit imports repro.kernel.trap, which
-    # imports this module — a top-level import would cycle.  The trap
-    # module is likewise fully initialised by the time a trap runs.
-    from repro.kernel.trap import deliver_pending_signals
+    # Imported here: the toolkit imports the kernel modules that import
+    # this one — a top-level import would cycle.
     from repro.toolkit import compile_support as support
 
-    entry_func = support.Agent._emulation_entry
-    table = {}
-    for number, handler in list(proc.emulation_vector.items()):
-        # Walk the chain of toolkit boilerplate entries below the top.
-        handlers = []
-        agents = []
-        tail = None
-        cursor = handler
-        while cursor is not None:
-            if getattr(cursor, "__func__", None) is not entry_func:
-                tail = cursor
-                break
-            agent = cursor.__self__
-            if any(existing is agent for existing in agents):
-                tail = cursor  # cyclic chain: treat the rest as opaque
-                break
-            handlers.append(cursor)
-            agents.append(agent)
-            cursor = agent._down.get(number)
-        if not agents:
-            continue
-        plans = [support.peel(each, number) for each in handlers]
+    plans = []
+    cursor = handler
+    while cursor is not None:
+        plan = support.peel(cursor, number)
+        if plan is None or any(each.agent is plan.agent for each in plans):
+            break  # opaque, or a cyclic chain: treat the rest as opaque
+        plans.append(plan)
+        cursor = plan.agent._down.get(number)
+    if cursor is None:
+        terminal = _kernel_terminal(number)
+    else:
+        terminal = _opaque_chain(support, cursor, number)
+        if terminal is None and plans:
+            terminal = _call(cursor, number)
+    if terminal is None:
+        return None
+    fills = [plan.fill for plan in plans if plan.fill is not None]
+    normalize = any(plan.normalize for plan in plans)
+    return _make_chain(number, fills, normalize, terminal, fallback)
 
-        # Trap-entry chain: collapse the transparent prefix.
-        prefix = 0
-        while prefix < len(plans) and plans[prefix] is not None:
-            prefix += 1
-        if prefix:
-            fills = [plan.fill for plan in plans[:prefix]
-                     if plan.fill is not None]
-            normalize = any(plan.normalize for plan in plans[:prefix])
-            many = None
-            if prefix < len(handlers):
-                terminal = (_opaque_chain(support, handlers[prefix], number)
-                            or _below_terminal(handlers[prefix], number))
-            elif tail is not None:
-                terminal = _below_terminal(tail, number)
-            else:
-                terminal = _kernel_terminal(number, baked_interposed=True)
-                if terminal is not None:
-                    many = _make_entry_many(number, fills, normalize,
-                                            deliver_pending_signals)
-            if terminal is not None:
-                chain = _make_chain(number, fills, normalize, terminal,
-                                    _tower_fallback(handler, number))
-                table[number] = (_make_entry(chain, handler, number), many)
+
+def _entry_row(table, number, handler):
+    """The row of an interposed number: its compiled chain, or ``None``."""
+    from repro.kernel.trap import tower
+
+    chain = _flatten(handler, number, _call(handler, number))
+    if chain is None:
+        return None
+    epoch = DOWN_EPOCH[0]
+
+    def row(ctx, args):
+        kernel = ctx.kernel
+        if DOWN_EPOCH[0] != epoch:
+            table.pop(number, None)  # stale: the next miss rebuilds it
+        elif (kernel.guard is None and kernel.profiler is None
+                and kernel.dfstrace is None and not ctx.proc.ktrace_on):
+            kernel.trap_compiled_total += 1
+            return chain(ctx, args)
+        return tower(ctx, number, args)
+
+    return row
+
+
+def _down_row(table, number):
+    """An agent's downcall row: the flattened sub-tower, or ``None``."""
+    kernel = table.agent.ctx.kernel
+    if (not kernel.fastpaths.trap_fast or kernel.recorder is not None
+            or kernel.obs is not None):
+        # A recorded or observed kernel never takes a chain (both are
+        # set at boot): keep its downcalls plain rather than build rows
+        # that would only stand down.
+        return None
+    below = table.vector.get(number)
+    fallback = _call(below, number)
+    chain = _flatten(below, number, fallback)
+    if chain is None:
+        return None
+    epoch = DOWN_EPOCH[0]
+
+    def row(ctx, args):
+        kernel = ctx.kernel
+        if DOWN_EPOCH[0] != epoch:
+            table.pop(number, None)  # stale: the next miss rebuilds it
+        elif (kernel.recorder is None and kernel.obs is None
+                and kernel.dfstrace is None and kernel.profiler is None):
+            kernel.down_compiled_total += 1
+            return chain(ctx, tuple(args))
+        return fallback(ctx, args)
+
+    return row
+
+
+def build_compiled_dispatch(table, number):
+    """Build *table*'s row for *number* (see the module docstring)."""
+    if table.agent is not None:
+        return _down_row(table, number)
+    from repro.kernel.trap import tower
+
+    row = None
+    if table.vector is not None:
+        handler = table.vector.get(number)
+        if handler is None:
+            row = _kernel_row(number)
         else:
-            # Opaque at the very top — but an overridden sys_* method
-            # with stock machinery around it can still be entered
-            # directly, shedding the boilerplate/numeric walk that
-            # precedes the agent's own code.
-            chain = _opaque_chain(support, handler, number)
-            if chain is not None:
-                table[number] = (_make_entry(chain, handler, number), None)
-
-        # Downcall chains: flatten the sub-tower below *every* agent on
-        # the walk — an opaque agent's forwards are often the hot path
-        # (the trace agent makes three per traced call).
-        for position, agent in enumerate(agents):
-            sub_plans = plans[position + 1:]
-            sub_handlers = handlers[position + 1:]
-            depth = 0
-            while depth < len(sub_plans) and sub_plans[depth] is not None:
-                depth += 1
-            if depth < len(sub_handlers):
-                terminal = _opaque_chain(support, sub_handlers[depth], number)
-                if terminal is None:
-                    if depth == 0:
-                        continue  # immediately opaque below: nothing to skip
-                    terminal = _below_terminal(sub_handlers[depth], number)
-            elif tail is not None:
-                if depth == 0:
-                    continue
-                terminal = _below_terminal(tail, number)
-            else:
-                # Kernel-terminated: worth baking even with no layers
-                # to peel — the flat body replaces the htg round trip
-                # (name lookup, dispatch lookup, two lock acquisitions).
-                terminal = _kernel_terminal(number, baked_interposed=False)
-                if terminal is None:
-                    continue
-            fills = [plan.fill for plan in sub_plans[:depth]
-                     if plan.fill is not None]
-            normalize = any(plan.normalize for plan in sub_plans[:depth])
-            fallback = _down_fallback(agent._down.get(number), number)
-            chain = _make_chain(number, fills, normalize, terminal, fallback)
-            cache = agent._down_compiled
-            if cache is None:
-                cache = agent._down_compiled = {}
-            cache[number] = _make_down(chain, fallback, cache, number)
-    return table
+            row = _entry_row(table, number, handler)
+    if row is None:
+        def row(ctx, args):
+            return tower(ctx, number, args)
+    return row

@@ -49,7 +49,7 @@ from repro.kernel.proc import (
 )
 from repro.kernel.sysent import entry_for, number_of
 from repro.kernel.syscalls import DISPATCH
-from repro.kernel.trap import UserContext
+from repro.kernel.trap import UserContext, kernel_entry
 from repro.kernel.ufs import Filesystem
 from repro.obs import events as obs_events
 
@@ -127,8 +127,8 @@ class Kernel:
         #: application system calls issued (trap instructions, not htg
         #: downcalls) — the paper's per-workload syscall counts
         self.trap_total = 0
-        #: traps dispatched through the precomputed fast path (a subset
-        #: of trap_total; see repro.kernel.trap.build_fast_dispatch)
+        #: uninterposed traps dispatched through a dispatch-table kernel
+        #: terminal (a subset of trap_total; see repro.kernel.compile)
         self.trap_fast_total = 0
         #: interposed traps dispatched through a compiled flat chain (a
         #: subset of trap_total; see repro.kernel.compile)
@@ -356,34 +356,7 @@ class Kernel:
         impl = DISPATCH.get(number)
         if impl is None:
             raise SyscallError(ENOSYS, entry.name)
-        if len(args) > entry.nargs:
-            raise SyscallError(EINVAL, "%s takes %d args" % (entry.name, entry.nargs))
-        with self._sleepq:
-            if self.crashed is not None:
-                raise MachineCrash(self.crashed)
-            self.clock.tick()
-            proc.rusage.ru_stime_usec += 100
-            self._check_alarm_locked(proc)
-            if self.profiler is not None:
-                self.profiler.sample_tick(proc, "kernel:" + entry.name)
-            if self.watches is not None:
-                self.watches.maybe_evaluate(self, proc)
-            error = None
-            result = None
-            try:
-                result = impl(self, proc, *args)
-            except SyscallError as exc:
-                error = exc
-            except (ProcessExit, ExecImage):
-                # exit and exec unwind; the trace hook still sees them.
-                if self.dfstrace is not None:
-                    self.dfstrace.record(self, proc, entry, args, None, None)
-                raise
-            if self.dfstrace is not None:
-                self.dfstrace.record(self, proc, entry, args, result, error)
-            if error is not None:
-                raise error
-            return result
+        return kernel_entry(self, proc, impl, entry, args)
 
     # ------------------------------------------------------------------
     # sleep / wakeup
@@ -627,6 +600,7 @@ class Kernel:
         # Mach 2.5, contains the agent.  The emulation vector references
         # the same agent instance (paper Figure 1-4: shared agent state).
         child.emulation_vector = dict(parent.emulation_vector)
+        child.dispatch = parent.dispatch
         child.signal_redirect = parent.signal_redirect
         child.comm = parent.comm
         child.argv = list(parent.argv)

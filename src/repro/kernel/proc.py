@@ -4,10 +4,12 @@ A simulated process owns a descriptor table (slots pointing into the
 shared open-file table), credentials, a working/root directory, signal
 state, resource accounting, and — the part this reproduction exists for —
 an *emulation vector* mapping system call numbers to user-mode handlers
-(see :mod:`repro.kernel.trap`).
+(see :mod:`repro.kernel.trap`), with the dispatch table shared by every
+process that has the same vector (see :mod:`repro.kernel.compile`).
 """
 
 from repro.kernel import signals as sig
+from repro.kernel.compile import dispatch_table
 from repro.kernel.errno import EBADF, EINVAL, EMFILE, SyscallError
 
 #: 4.3BSD default descriptor table size (getdtablesize)
@@ -213,16 +215,10 @@ class Process:
 
         # emulation (interposition) state
         self.emulation_vector = {}
-        #: precomputed syscall dispatch for traps with no interposition
-        #: to consult (see repro.kernel.trap.build_fast_dispatch);
-        #: ``None`` means "rebuild lazily on the next trap" — every
-        #: emulation-vector change resets it to None
-        self.fast_dispatch = None
-        #: compiled per-number agent-stack chains for interposed traps
-        #: (see repro.kernel.compile.build_compiled_dispatch); same
-        #: lifecycle as fast_dispatch — ``None`` rebuilds lazily, every
-        #: emulation-vector change resets it
-        self.compiled_dispatch = None
+        #: the dispatch table of this emulation vector (see
+        #: repro.kernel.compile.DispatchTable): shared across fork,
+        #: replaced whenever the vector changes
+        self.dispatch = dispatch_table(kernel, self.emulation_vector)
 
         #: ktrace participation (see repro.kernel.ktrace): inherited
         #: across fork, cleared by native execve, kept by jump_to_image

@@ -10,6 +10,7 @@ descriptor table, and signal dispositions are left exactly as the caller
 arranged them.
 """
 
+from repro.kernel.compile import dispatch_table
 from repro.kernel.errno import EINVAL, SyscallError
 from repro.kernel.proc import ExecImage
 from repro.kernel.sysent import SYSCALLS
@@ -36,10 +37,9 @@ def sys_task_set_emulation(kernel, proc, numbers, handler):
             proc.emulation_vector.pop(number, None)
         else:
             proc.emulation_vector[number] = handler
-    # The emulation vector changed: neither precomputed dispatch table
-    # reflects it any more.  Both rebuild lazily on the next trap.
-    proc.fast_dispatch = None
-    proc.compiled_dispatch = None
+    # The emulation vector changed: its old dispatch table no longer
+    # reflects it (other processes may still share that one).
+    proc.dispatch = dispatch_table(kernel, proc.emulation_vector)
     return 0
 
 

@@ -1,6 +1,7 @@
 """Process-related system calls: identity, fork, execve, wait, exit."""
 
 from repro.kernel import cred as credmod
+from repro.kernel.compile import dispatch_table
 from repro.kernel.errno import (
     EACCES,
     ECHILD,
@@ -89,8 +90,7 @@ def sys_execve(kernel, proc, path, argv=None, envp=None):
 
     # The new image replaces the address space: interposition is gone.
     proc.emulation_vector.clear()
-    proc.fast_dispatch = None
-    proc.compiled_dispatch = None
+    proc.dispatch = dispatch_table(kernel, proc.emulation_vector)
     proc.signal_redirect = None
     # ktrace is reset with it: a fresh image starts untraced (the
     # toolkit's jump_to_image, which replaces only the image, keeps it).

@@ -26,6 +26,15 @@ counts should use ``kernel.trap_total`` (traps issued, regardless of
 path) or the observability counters ``("trap", name)`` /
 ``("htg", name)``, which keep the two populations separate.
 
+**Dispatch.**  Every route into a kernel implementation goes through
+:func:`kernel_entry`, the one copy of the kernel-entry body.  A trap
+with no observer live looks its number up in ``proc.dispatch``, the
+table of the process's emulation vector (see
+:class:`repro.kernel.compile.DispatchTable`): one row per number, built
+on first use and shared by every process with that vector.  Observed,
+recorded and stood-down traps take the layer :func:`tower`, the
+reference every row must match.
+
 **Observability.** When ``kernel.obs`` is set (see :mod:`repro.obs`),
 the trap path records per-call counters, virtual-clock latency
 histograms, and — for traced processes — ``trap.agent`` /
@@ -36,59 +45,68 @@ exists to demonstrate.
 
 from repro.kernel import signals as sig
 from repro.kernel import sysent
-from repro.kernel.compile import build_compiled_dispatch
 from repro.kernel.errno import EINVAL, SyscallError, errno_name
 from repro.kernel.faultsite import MachineCrash
 from repro.kernel.proc import ExecImage, ProcessExit
 from repro.obs import events as ev
 
-#: shared sentinel installed as ``proc.fast_dispatch`` when the trap
-#: fast path is configured off: an empty table makes every lookup miss,
-#: so the disabled path costs exactly one ``dict.get`` per trap
-_FAST_DISABLED = {}
 
-#: the shared full table for processes with an empty emulation vector —
-#: the overwhelmingly common case; built once, never mutated, so every
-#: fork and execve "rebuilds" it for free
-_FULL_TABLE = None
+def kernel_entry(kernel, proc, impl, entry, args):
+    """Run the kernel implementation *impl* of sysent row *entry*.
 
-
-def build_fast_dispatch(kernel, proc):
-    """Precompute *proc*'s fast dispatch table.
-
-    The table maps syscall number → ``(impl, sysent entry)`` for every
-    call the kernel implements **and** the process has not redirected
-    through its emulation vector.  A trap that finds its number here
-    (and no ktrace/dfstrace/obs consumer live) skips the per-call
-    handler lookup, ``entry_for``, and ``DISPATCH.get`` of the slow
-    path.  The table is invalidated (set back to ``None``) whenever the
-    emulation vector changes — ``task_set_emulation`` and ``execve``;
-    fork gives the child a fresh Process, so it rebuilds naturally.
-
-    Uninterposed processes all share one read-only table: building a
-    ~200-entry dict per fork would cost more than the fast path saves
-    on short-lived children (the make workload's 64 cc/ld pairs).
+    The one kernel-entry body every route shares (the tower's
+    ``do_syscall``, the uninterposed table rows, and the compiled
+    chains' kernel terminals): arity check, then under the kernel lock
+    the crash check, clock tick, system-time charge, alarm check,
+    profiler tick, watch evaluation, the implementation itself, and the
+    DFSTrace record.
     """
-    if not kernel.fastpaths.trap_fast:
-        return _FAST_DISABLED
-    # Imported here: repro.kernel.syscalls imports this module's
-    # SyscallError re-raisers transitively, so a top-level import cycles.
-    from repro.kernel.syscalls import DISPATCH
+    if len(args) > entry.nargs:
+        raise SyscallError(
+            EINVAL, "%s takes %d args" % (entry.name, entry.nargs))
+    with kernel._sleepq:
+        if kernel.crashed is not None:
+            raise MachineCrash(kernel.crashed)
+        kernel.clock.tick()
+        proc.rusage.ru_stime_usec += 100
+        kernel._check_alarm_locked(proc)
+        if kernel.profiler is not None:
+            kernel.profiler.sample_tick(proc, "kernel:" + entry.name)
+        if kernel.watches is not None:
+            kernel.watches.maybe_evaluate(kernel, proc)
+        error = None
+        result = None
+        try:
+            result = impl(kernel, proc, *args)
+        except SyscallError as exc:
+            error = exc
+        except (ProcessExit, ExecImage):
+            # exit and exec unwind; the trace hook still sees them.
+            if kernel.dfstrace is not None:
+                kernel.dfstrace.record(kernel, proc, entry, args, None, None)
+            raise
+        if kernel.dfstrace is not None:
+            kernel.dfstrace.record(kernel, proc, entry, args, result, error)
+        if error is not None:
+            raise error
+        return result
 
-    global _FULL_TABLE
-    if _FULL_TABLE is None:
-        _FULL_TABLE = {
-            number: (impl, sysent.entry_for(number))
-            for number, impl in DISPATCH.items()
-        }
-    vector = proc.emulation_vector
-    if not vector:
-        return _FULL_TABLE
-    return {
-        number: row
-        for number, row in _FULL_TABLE.items()
-        if number not in vector
-    }
+
+def tower(ctx, number, args):
+    """The layer tower: the emulation vector's handler, else the kernel.
+
+    A redirected call runs the agent's handler in the client's own
+    context (same address space, same thread), through the guard rail
+    when one is installed so agent faults are contained per policy.
+    """
+    proc = ctx.proc
+    handler = proc.emulation_vector.get(number)
+    if handler is None:
+        return ctx.kernel.do_syscall(proc, number, args)
+    guard = ctx.kernel.guard
+    if guard is not None:
+        return guard.run_handler(ctx, handler, number, args)
+    return handler(ctx, number, args)
 
 
 def _brief(args, limit=48):
@@ -176,183 +194,19 @@ class UserContext:
         obs = kernel.obs
         if obs is not None:
             return self._trap_observed(obs, number, args)
-
-        # Fast path: no emulation-vector entry for this number, no
-        # tracing consumer live.  One dict.get decides; a hit dispatches
-        # straight to the kernel implementation with the sysent row in
-        # hand, skipping the slow path's per-call lookups.  Signals are
-        # still delivered at the boundary — outside the kernel lock,
-        # which take_signal re-acquires.
-        table = proc.fast_dispatch
-        if table is None:
-            table = proc.fast_dispatch = build_fast_dispatch(kernel, proc)
-        row = table.get(number)
-        if (row is not None and kernel.dfstrace is None
-                and not proc.ktrace_on):
-            impl, entry = row
-            kernel.trap_fast_total += 1
-            try:
-                if len(args) > entry.nargs:
-                    raise SyscallError(
-                        EINVAL, "%s takes %d args" % (entry.name, entry.nargs)
-                    )
-                with kernel._sleepq:
-                    if kernel.crashed is not None:
-                        raise MachineCrash(kernel.crashed)
-                    kernel.clock.tick()
-                    proc.rusage.ru_stime_usec += 100
-                    kernel._check_alarm_locked(proc)
-                    if kernel.profiler is not None:
-                        kernel.profiler.sample_tick(
-                            proc, "kernel:" + entry.name)
-                    if kernel.watches is not None:
-                        kernel.watches.maybe_evaluate(kernel, proc)
-                    result = impl(kernel, proc, *args)
-            except SyscallError:
-                deliver_pending_signals(self)
-                raise
-            if proc.pending:
-                deliver_pending_signals(self)
-            return result
-
-        handler = proc.emulation_vector.get(number)
+        # The process's dispatch table (shared by every process with the
+        # same emulation vector) holds one row per number, built on
+        # first use: the kernel terminal for an uninterposed call, the
+        # compiled chain or the tower for an interposed one.  Signals
+        # are delivered at the boundary, outside the kernel lock, which
+        # take_signal re-acquires.
         try:
-            if handler is not None:
-                # Redirected: the agent's handler runs here, in the
-                # client's own context (same address space, same thread).
-                # With a guard rail installed, the invocation goes
-                # through it so agent faults are contained per policy;
-                # fast-path traps for interposed numbers fall through to
-                # this same site, so one hook covers every dispatch path.
-                guard = kernel.guard
-                if guard is not None:
-                    result = guard.run_handler(self, handler, number, args)
-                else:
-                    # Compiled agent-stack dispatch: a flat per-number
-                    # chain replaces the layer tower when every observer
-                    # that could tell the difference is quiet (recorder
-                    # and obs were dispatched above, the guard is the
-                    # branch we did not take, dfstrace/ktrace checked
-                    # here).  Same lazy-rebuild lifecycle as the fast
-                    # table above.
-                    ctable = proc.compiled_dispatch
-                    if ctable is None:
-                        ctable = proc.compiled_dispatch = \
-                            build_compiled_dispatch(kernel, proc)
-                    crow = ctable.get(number)
-                    if (crow is not None and kernel.dfstrace is None
-                            and kernel.profiler is None
-                            and not proc.ktrace_on):
-                        result = crow[0](self, args)
-                    else:
-                        result = handler(self, number, args)
-            else:
-                result = kernel.do_syscall(proc, number, args)
+            result = proc.dispatch[number](self, args)
         except SyscallError:
             deliver_pending_signals(self)
             raise
         deliver_pending_signals(self)
         return result
-
-    def trap_many(self, number, calls):
-        """Issue a homogeneous batch of system call *number* traps.
-
-        *calls* is a sequence of argument tuples; the result is exactly
-        ``[self.trap(number, *args) for args in calls]`` — same results,
-        same per-call accounting, same signal delivery at every call
-        boundary, and a :class:`SyscallError` aborts the batch at the
-        failing call just as it would abort a sequential loop.  What the
-        batch buys is dispatch amortization: when nothing stands in the
-        way (no recorder/obs/guard/dfstrace/ktrace), the whole batch
-        runs through one compiled chain — or one fast-dispatch row —
-        under a single kernel lock acquisition, dropping the lock only
-        when a signal becomes pending so delivery interleaves exactly as
-        the sequential loop's would.
-        """
-        calls = list(calls)
-        kernel = self.kernel
-        proc = self.proc
-        if (kernel.recorder is None and kernel.obs is None
-                and kernel.guard is None and kernel.dfstrace is None
-                and not proc.ktrace_on):
-            if number in proc.emulation_vector:
-                ctable = proc.compiled_dispatch
-                if ctable is None:
-                    ctable = proc.compiled_dispatch = \
-                        build_compiled_dispatch(kernel, proc)
-                crow = ctable.get(number)
-                if (crow is not None and crow[1] is not None
-                        and kernel.profiler is None):
-                    results = crow[1](self, calls)
-                    if results is not NotImplemented:
-                        return results
-            else:
-                results = self._trap_many_fast(number, calls)
-                if results is not NotImplemented:
-                    return results
-        return [self.trap(number, *args) for args in calls]
-
-    def _trap_many_fast(self, number, calls):
-        """Single-lock batch over an uninterposed fast-dispatch row.
-
-        The per-call work mirrors the fast path in :meth:`trap` —
-        crossing and trap counters, arity check (the fast path's
-        messageful EINVAL included), tick, system-time charge, alarm
-        check, implementation — with the lock held across calls instead
-        of per call.  Returns ``NotImplemented`` when the number has no
-        fast row (interposed, unimplemented, or the flag is off) so the
-        caller falls back to the sequential loop.
-        """
-        kernel = self.kernel
-        proc = self.proc
-        table = proc.fast_dispatch
-        if table is None:
-            table = proc.fast_dispatch = build_fast_dispatch(kernel, proc)
-        row = table.get(number)
-        if row is None:
-            return NotImplemented
-        impl, entry = row
-        nargs = entry.nargs
-        name = entry.name
-        kframe = "kernel:" + name
-        rusage = proc.rusage
-        results = []
-        index = 0
-        total = len(calls)
-        while index < total:
-            error = None
-            with kernel._sleepq:
-                while index < total:
-                    if kernel.crashed is not None:
-                        raise MachineCrash(kernel.crashed)
-                    args = calls[index]
-                    rusage.ru_nsyscalls += 1
-                    kernel.trap_total += 1
-                    kernel.trap_fast_total += 1
-                    try:
-                        if len(args) > nargs:
-                            raise SyscallError(
-                                EINVAL, "%s takes %d args" % (name, nargs))
-                        kernel.clock.tick()
-                        rusage.ru_stime_usec += 100
-                        kernel._check_alarm_locked(proc)
-                        if kernel.profiler is not None:
-                            kernel.profiler.sample_tick(proc, kframe)
-                        if kernel.watches is not None:
-                            kernel.watches.maybe_evaluate(kernel, proc)
-                        results.append(impl(kernel, proc, *args))
-                    except SyscallError as exc:
-                        error = exc
-                        break
-                    index += 1
-                    if proc.pending:
-                        break
-            if error is not None:
-                deliver_pending_signals(self)
-                raise error
-            if proc.pending:
-                deliver_pending_signals(self)
-        return results
 
     def _trap_recorded(self, rec, number, args):
         """The trap path under record/replay's turn token.
@@ -362,9 +216,9 @@ class UserContext:
         boundary signal delivery — runs as one recorded *turn*; with
         observability also enabled the observed path runs inside it, so
         obs event order is part of what replay reproduces bit-for-bit.
-        Dispatch always takes the slow path: both record and replay use
-        the same code, so the fast-dispatch counters stay comparable
-        between the two runs.
+        Dispatch always takes the :func:`tower`: both record and replay
+        use the same code, so the route counters stay comparable between
+        the two runs.
         """
         proc = self.proc
         kernel = self.kernel
@@ -378,17 +232,8 @@ class UserContext:
             obs = kernel.obs
             if obs is not None:
                 return self._trap_observed(obs, number, args)
-            handler = proc.emulation_vector.get(number)
             try:
-                if handler is not None:
-                    guard = kernel.guard
-                    if guard is not None:
-                        result = guard.run_handler(self, handler, number,
-                                                   args)
-                    else:
-                        result = handler(self, number, args)
-                else:
-                    result = kernel.do_syscall(proc, number, args)
+                result = tower(self, number, args)
             except SyscallError:
                 deliver_pending_signals(self)
                 raise
@@ -424,14 +269,7 @@ class UserContext:
                      proc, name, _brief(args))
         start = kernel.clock.usec()
         try:
-            if handler is not None:
-                guard = kernel.guard
-                if guard is not None:
-                    result = guard.run_handler(self, handler, number, args)
-                else:
-                    result = handler(self, number, args)
-            else:
-                result = kernel.do_syscall(proc, number, args)
+            result = tower(self, number, args)
         except SyscallError as err:
             elapsed = kernel.clock.usec() - start
             errname = errno_name(err.errno)

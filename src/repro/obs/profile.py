@@ -68,16 +68,12 @@ class Profiler:
 
     def attach(self, kernel):
         """Install on *kernel* (replacing any previous profiler)."""
-        from repro.kernel.compile import note_down_mutation
-
         self.kernel = kernel
         self.start_usec = kernel.clock.usec()
+        # Compiled chains bypass the agent-frame push/pop; they stand
+        # down while a profiler is attached, so attribution stays
+        # truthful.
         kernel.profiler = self
-        # Compiled flat chains bypass the agent-frame push/pop; retire
-        # them machine-wide so attribution stays truthful.
-        note_down_mutation()
-        for proc in kernel._procs.values():
-            proc.compiled_dispatch = None
         return self
 
     def detach(self):

@@ -64,7 +64,7 @@ class OpenObject:
         """Scatter read, built on :meth:`read` so derived objects that
         change read behaviour cover the vector forms automatically."""
         if (type(self).read is OpenObject.read
-                and self.dset.ctx.kernel.fastpaths.compiled):
+                and self.dset.ctx.kernel.fastpaths.trap_fast):
             # Stock reads reduce to the next level's own vectored call:
             # one downcall — one compiled chain, when one is baked —
             # instead of one per iovec.  The kernel's sys_readv applies
@@ -83,7 +83,7 @@ class OpenObject:
     def writev(self, fd, buffers):
         """Gather write, built on :meth:`write` (see :meth:`readv`)."""
         if (type(self).write is OpenObject.write
-                and self.dset.ctx.kernel.fastpaths.compiled):
+                and self.dset.ctx.kernel.fastpaths.trap_fast):
             return self.dset.syscall_down("writev", fd, buffers)
         return sum(self.write(fd, buffer) for buffer in buffers)
 

@@ -53,6 +53,7 @@ observability bus when it is enabled (see :mod:`repro.obs.events`).
 """
 
 from repro.kernel import signals as sig
+from repro.kernel.compile import dispatch_table
 from repro.kernel.errno import SyscallError
 from repro.kernel.faultsite import MachineCrash
 from repro.kernel.proc import ExecImage, ProcessExit
@@ -395,8 +396,8 @@ class GuardRail:
         Each emulation-vector entry owned by the agent is restored to
         the interface below it (the agent's ``_down`` map) when known,
         or deleted outright — either way the calls reach what they
-        reached before the agent registered.  The fast dispatch table is
-        invalidated so the ejection is visible on every dispatch path.
+        reached before the agent registered.  The process gets a fresh
+        dispatch table so the ejection is visible on every route.
         """
         self._ejected.add(id(owner))
         self.stats.ejections += 1
@@ -412,8 +413,7 @@ class GuardRail:
                 del vector[number]
         if getattr(proc.signal_redirect, "__self__", None) is owner:
             proc.signal_redirect = None
-        proc.fast_dispatch = None
-        proc.compiled_dispatch = None
+        proc.dispatch = dispatch_table(ctx.kernel, vector)
         _note(ctx.kernel, proc, ev.GUARD_QUARANTINE, name,
               "agent %s ejected from pid %d"
               % (type(owner).__name__, proc.pid))

@@ -5,17 +5,19 @@ layer tower it replaces: no recorder, no obs, no guard, no dfstrace, no
 ktrace flag, and no staleness (vector or ``_down`` change since the
 build).  These tests pin the table's life cycle, every stand-down
 condition, exact behavioural parity (errnos, EINVAL wording, signal
-delivery), the batched ``trap_many``/``readv``/``writev`` entry points,
-and — via a hypothesis lockstep machine and a record/replay roundtrip —
-that compiled-on and compiled-off worlds are indistinguishable.
+delivery, machine crashes), the vectored ``readv``/``writev``
+downcalls, and — via a hypothesis lockstep machine and a record/replay
+roundtrip — that compiled-on and compiled-off worlds are
+indistinguishable.
 """
 
 import pytest
 
 from repro.kernel import Kernel
 from repro.kernel import signals as sig
-from repro.kernel.compile import _COMPILED_DISABLED, build_compiled_dispatch
-from repro.kernel.errno import EBADF, EINVAL, SyscallError
+from repro.kernel.compile import _EMPTY, _TOWER, build_compiled_dispatch
+from repro.kernel.errno import EINVAL, SyscallError
+from repro.kernel.faultsite import MachineCrash
 from repro.kernel.ofile import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.kernel.proc import WEXITSTATUS
 from repro.kernel.sysent import number_of
@@ -29,8 +31,8 @@ NR = {n: number_of(n) for n in (
     "task_set_emulation", "sigvec", "kill", "exit",
 )}
 
-#: every fast path except compiled dispatch — the tower baseline
-TOWER = "namecache,trap_fast,zero_copy"
+#: every fast path except table dispatch — the tower baseline
+TOWER = "namecache,zero_copy"
 
 
 def run(kernel, entry):
@@ -56,15 +58,14 @@ def test_compiled_fires_for_transparent_agent():
     for _ in range(4):
         assert ctx.trap(NR["getpid"]) == pid
     assert k.trap_compiled_total >= 5
-    assert ctx.proc.compiled_dispatch is not None
-    assert NR["getpid"] in ctx.proc.compiled_dispatch
+    assert NR["getpid"] in ctx.proc.dispatch
 
 
 def test_disabled_flag_uses_sentinel():
     k = Kernel(fastpaths=TOWER)
     ctx, _ = _attached(k)
     assert isinstance(ctx.trap(NR["getpid"]), int)
-    assert ctx.proc.compiled_dispatch is _COMPILED_DISABLED
+    assert ctx.proc.dispatch is _TOWER
     assert k.trap_compiled_total == 0
     assert k.down_compiled_total == 0
 
@@ -85,16 +86,20 @@ def test_task_set_emulation_invalidates_table():
     k = Kernel()
     ctx, _ = _attached(k)
     ctx.trap(NR["getpid"])
-    assert ctx.proc.compiled_dispatch is not None
+    old = ctx.proc.dispatch
+    assert NR["getpid"] in old
 
     def handler(handler_ctx, number, args):
         return 4242
 
     ctx.trap(NR["task_set_emulation"], [NR["getpid"]], handler)
-    assert ctx.proc.compiled_dispatch is None  # invalidated
+    table = ctx.proc.dispatch
+    assert table is not old                    # a fresh table
+    assert NR["getpid"] not in table           # rows are built on use
+    before = k.trap_compiled_total
     assert ctx.trap(NR["getpid"]) == 4242      # opaque handler wins
-    table = ctx.proc.compiled_dispatch         # rebuilt lazily
-    assert NR["getpid"] not in table           # lambda is not boilerplate
+    assert NR["getpid"] in table
+    assert k.trap_compiled_total == before     # lambda is not boilerplate
 
 
 def test_execve_resets_table():
@@ -104,24 +109,27 @@ def test_execve_resets_table():
     seen = []
 
     def probe(ctx, argv, envp):
-        seen.append(ctx.proc.compiled_dispatch)
+        seen.append(ctx.proc.dispatch)
         return 0
 
     world.register_program("probe", probe)
     world.install_binary("/bin/probe", "probe")
     assert WEXITSTATUS(world.run("/bin/probe", ["probe"])) == 0
-    assert seen[0] is None  # native exec dropped it with the vector
+    assert seen[0] is _EMPTY  # native exec dropped it with the vector
 
 
 def test_build_respects_flag():
     on = Kernel()
     off = Kernel(fastpaths=TOWER)
     ctx, _ = _attached(on)
-    table = build_compiled_dispatch(on, ctx.proc)
-    assert table is not _COMPILED_DISABLED
-    assert NR["getpid"] in table
+    row = build_compiled_dispatch(ctx.proc.dispatch, NR["getpid"])
+    row(ctx, ())
+    assert on.trap_compiled_total == 1
     ctx_off, _ = _attached(off)
-    assert build_compiled_dispatch(off, ctx_off.proc) is _COMPILED_DISABLED
+    assert ctx_off.proc.dispatch is _TOWER
+    row = build_compiled_dispatch(ctx_off.proc.dispatch, NR["getpid"])
+    assert row(ctx_off, ()) == ctx_off.proc.pid
+    assert off.trap_compiled_total == 0
 
 
 def test_down_epoch_retires_stale_chains():
@@ -129,16 +137,23 @@ def test_down_epoch_retires_stale_chains():
     ctx, first = _attached(k)
     ctx.trap(NR["getpid"])
     assert k.trap_compiled_total >= 1
+    old = ctx.proc.dispatch
     # Stacking a second agent re-registers the numbers: the vector
-    # change invalidates this proc's table, and the _down mutation bumps
+    # change gives this proc a fresh table, and the _down mutation bumps
     # the global epoch so chains baked elsewhere also stand down.
     second = SymbolicSyscall()
     second.attach(ctx, [])
-    assert ctx.proc.compiled_dispatch is None
+    assert ctx.proc.dispatch is not old
+    before = k.trap_compiled_total
+    # A process still on the old table takes the tower once and evicts
+    # the stale row.
+    assert old[NR["getpid"]](ctx, ()) == ctx.proc.pid
+    assert k.trap_compiled_total == before
+    assert NR["getpid"] not in old
     pid = ctx.trap(NR["getpid"])
     assert isinstance(pid, int)
     # The restacked chain compiles too (both layers are transparent).
-    assert NR["getpid"] in ctx.proc.compiled_dispatch
+    assert k.trap_compiled_total == before + 1
 
 
 # -- stand-down matrix -----------------------------------------------------
@@ -273,77 +288,23 @@ def test_signals_delivered_after_compiled_trap():
     assert run(k, main) == 0
 
 
-# -- trap_many -------------------------------------------------------------
-
-
-def test_trap_many_matches_sequential_uninterposed():
-    k = Kernel()
-
-    def main(ctx):
-        fd = ctx.trap(NR["open"], "/batch.txt",
-                      O_WRONLY | O_CREAT | O_TRUNC, 0o644)
-        writes = [(fd, b"one "), (fd, b"two "), (fd, b"three")]
-        assert ctx.trap_many(NR["write"], writes) == [4, 4, 5]
-        ctx.trap(NR["close"], fd)
-        return 0
-
-    assert run(k, main) == 0
-    assert k.read_file("/batch.txt") == b"one two three"
-
-
-def test_trap_many_matches_sequential_interposed():
-    results = {}
-    for flags in (None, TOWER):
-        k = Kernel() if flags is None else Kernel(fastpaths=flags)
-        ctx, _ = _attached(k)
-        fd = ctx.trap(NR["open"], "/b.txt",
-                      O_WRONLY | O_CREAT | O_TRUNC, 0o644)
-        out = ctx.trap_many(NR["write"], [(fd, b"x" * n)
-                                          for n in (1, 2, 3, 4)])
-        ctx.trap(NR["close"], fd)
-        results[flags] = (out, k.read_file("/b.txt"))
-    assert results[None] == results[TOWER] == ([1, 2, 3, 4], b"x" * 10)
-
-
-def test_trap_many_error_aborts_at_failing_call():
-    k = Kernel()
-    ctx, _ = _attached(k)
-    fd = ctx.trap(NR["open"], "/part.txt",
-                  O_WRONLY | O_CREAT | O_TRUNC, 0o644)
-    with pytest.raises(SyscallError) as caught:
-        ctx.trap_many(NR["write"], [(fd, b"kept"), (99, b"lost")])
-    assert caught.value.errno == EBADF
-    ctx.trap(NR["close"], fd)
-    # The call before the failure completed, exactly as a loop would.
-    assert k.read_file("/part.txt") == b"kept"
-
-
-def test_trap_many_delivers_signal_mid_batch():
-    k = Kernel()
-    delivered = []
-
-    def main(ctx):
-        ctx.trap(NR["sigvec"], sig.SIGUSR1,
-                 lambda s: delivered.append(s), 0)
-        kills = [(ctx.proc.pid, sig.SIGUSR1)] * 3
-        assert ctx.trap_many(NR["kill"], kills) == [0, 0, 0]
-        # Each kill's pending signal was delivered at that call's
-        # boundary, not bunched at the end of the batch.
-        assert delivered == [sig.SIGUSR1] * 3
-        return 0
-
-    assert run(k, main) == 0
-
-
-def test_trap_many_falls_back_under_obs():
-    from repro import obs
-
-    k = Kernel()
-    obs.enable(k)
-    ctx, _ = _attached(k)
-    assert ctx.trap_many(NR["getpid"], [()] * 3) == [ctx.proc.pid] * 3
-    assert k.obs.metrics.counter(("trap", "getpid")) >= 3
-    assert k.trap_compiled_total == 0
+@pytest.mark.parametrize("flags", [None, "none"], ids=["default", "none"])
+def test_downcall_after_crash_raises_and_spares_the_volume(flags):
+    # Every surviving thread dies at its next kernel entry: an agent's
+    # forwarded unlink after the machine halted must not reach the
+    # halted volume, whichever route the downcall takes.
+    k = Kernel() if flags is None else Kernel(fastpaths=flags)
+    k.write_file("/victim", b"survives")
+    ctx, agent = _attached(k)
+    ctx.trap(NR["getpid"])         # the dispatch tables are warm
+    agent.syscall_down("getpid")
+    before = k.down_compiled_total
+    k.crash()
+    with pytest.raises(MachineCrash):
+        agent.syscall_down("unlink", "/victim")
+    if flags is None:
+        assert k.down_compiled_total == before + 1  # the compiled route
+    assert k.read_file("/victim") == b"survives"
 
 
 # -- readv / writev through agent stacks (satellite) -----------------------

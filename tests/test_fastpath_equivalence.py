@@ -268,3 +268,30 @@ def test_format_workload_output_identical():
         outputs.append(world.read_file(format_dissertation.OUTPUT))
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 10_000  # a real document, not a stub
+
+
+def test_format_under_timex_watch_flush_points_identical():
+    """Watch rules are evaluated at kernel entries; an interposed trap's
+    compiled chain must enter the kernel exactly where the tower does,
+    so evaluations and the final virtual clock match across routes."""
+    from repro.agents.timex import TimexSymbolicSyscall
+    from repro.obs.watch import enable_watches
+    from repro.toolkit import run_under_agent
+    from repro.workloads import boot_world, format_dissertation
+
+    seen = []
+    for flags in (None, "none"):
+        world = (boot_world() if flags is None
+                 else boot_world(fastpaths=flags))
+        format_dissertation.setup(world)
+        watches = enable_watches(world, "counter_rate trap|read > 1000\n",
+                                 interval_usec=1000)
+        status = run_under_agent(
+            world, TimexSymbolicSyscall(offset=3600), "/usr/bin/scribe",
+            ["scribe", format_dissertation.MANUSCRIPT,
+             format_dissertation.OUTPUT])
+        seen.append((WEXITSTATUS(status), watches.evals, world.clock.usec(),
+                     world.read_file(format_dissertation.OUTPUT)))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == 0
+    assert seen[0][1] > 50

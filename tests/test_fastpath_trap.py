@@ -1,11 +1,12 @@
-"""Tests for the precomputed trap dispatch fast path (repro.kernel.trap).
+"""Tests for the dispatch table's kernel rows (repro.kernel.compile).
 
-The fast path may only fire when nothing is watching: no emulation
-vector entry for the number, no observability, no ktrace, no dfstrace.
-These tests pin down the table's life cycle (lazy build, shared full
-table, invalidation on ``task_set_emulation``/``execve``) and the exact
-behavioural parity with the seed slow path (EINVAL wording, signal
-delivery, error propagation).
+An uninterposed number's row enters the kernel directly only when
+nothing is watching: no observability, no ktrace, no dfstrace.  These
+tests pin down the table's life cycle (rows built on first use, one
+shared empty-vector table, a fresh table on ``task_set_emulation``, the
+shared one again after ``execve``) and the exact behavioural parity
+with the seed slow path (EINVAL wording, signal delivery, error
+propagation).
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.kernel import signals as sig
 from repro.kernel.errno import EBADF, EINVAL, SyscallError
 from repro.kernel.proc import WEXITSTATUS
 from repro.kernel.sysent import number_of
-from repro.kernel.trap import _FAST_DISABLED, build_fast_dispatch
+from repro.kernel.compile import _EMPTY, _TOWER, dispatch_table
 
 NR_GETPID = number_of("getpid")
 NR_CLOSE = number_of("close")
@@ -46,7 +47,7 @@ def test_disabled_config_never_fast():
 
     def main(ctx):
         ctx.trap(NR_GETPID)
-        assert ctx.proc.fast_dispatch is _FAST_DISABLED
+        assert ctx.proc.dispatch is _TOWER
         return 0
 
     assert run(k, main) == 0
@@ -60,7 +61,7 @@ def test_uninterposed_processes_share_one_table():
 
     def main(ctx):
         ctx.trap(NR_GETPID)
-        tables.append(ctx.proc.fast_dispatch)
+        tables.append(ctx.proc.dispatch)
         return 0
 
     assert run(k, main) == 0
@@ -73,8 +74,8 @@ def test_task_set_emulation_invalidates_table():
 
     def main(ctx):
         ctx.trap(NR_GETPID)
-        full = ctx.proc.fast_dispatch
-        assert NR_GETPID in full
+        full = ctx.proc.dispatch
+        assert full is _EMPTY and NR_GETPID in full
 
         hits = []
 
@@ -83,16 +84,20 @@ def test_task_set_emulation_invalidates_table():
             return 4242
 
         ctx.trap(NR_SET_EMUL, [NR_GETPID], handler)
-        assert ctx.proc.fast_dispatch is None  # invalidated
+        table = ctx.proc.dispatch
+        assert table is not full              # a fresh table
+        assert NR_GETPID not in table         # rows are built on use
+        before = k.trap_fast_total
         assert ctx.trap(NR_GETPID) == 4242    # redirected, not fast
         assert hits == [NR_GETPID]
-        table = ctx.proc.fast_dispatch        # rebuilt lazily
-        assert NR_GETPID not in table
-        assert NR_CLOSE in table
+        assert k.trap_fast_total == before
+        assert NR_GETPID in table
 
         ctx.trap(NR_SET_EMUL, [NR_GETPID], None)  # remove redirection
-        assert ctx.proc.fast_dispatch is None
+        assert ctx.proc.dispatch is full      # empty vector: shared again
+        before = k.trap_fast_total
         assert isinstance(ctx.trap(NR_GETPID), int)
+        assert k.trap_fast_total == before + 1
         return 0
 
     assert run(k, main) == 0
@@ -119,17 +124,17 @@ def test_execve_resets_table():
 
     def probe(ctx, argv, envp):
         # The exec that started this image cleared the emulation vector,
-        # so the precomputed table must have been dropped with it.
-        seen.append(ctx.proc.fast_dispatch)
+        # so the process must be on the shared empty-vector table.
+        seen.append(ctx.proc.dispatch)
         ctx.trap(NR_GETPID)
-        seen.append(ctx.proc.fast_dispatch)
+        seen.append(ctx.proc.dispatch)
         return 0
 
     world.register_program("probe", probe)
     world.install_binary("/bin/probe", "probe")
     assert WEXITSTATUS(world.run("/bin/probe", ["probe"])) == 0
-    assert seen[0] is None
-    assert seen[1] is not None
+    assert seen[0] is _EMPTY
+    assert seen[1] is _EMPTY
 
 
 def test_ktrace_forces_slow_path():
@@ -249,15 +254,15 @@ def test_build_fast_dispatch_respects_flag():
     off = Kernel(fastpaths="none")
 
     def main_on(ctx):
-        table = build_fast_dispatch(on, ctx.proc)
-        assert table is not _FAST_DISABLED
-        assert NR_GETPID in table
-        impl, entry = table[NR_GETPID]
-        assert entry.name == "getpid"
+        table = dispatch_table(on, ctx.proc.emulation_vector)
+        assert table is _EMPTY
+        before = on.trap_fast_total
+        table[NR_GETPID](ctx, ())
+        assert on.trap_fast_total == before + 1
         return 0
 
     def main_off(ctx):
-        assert build_fast_dispatch(off, ctx.proc) is _FAST_DISABLED
+        assert dispatch_table(off, ctx.proc.emulation_vector) is _TOWER
         return 0
 
     assert run(on, main_on) == 0

@@ -5,6 +5,7 @@ import pytest
 from repro.agents.txn import TxnAgent
 from repro.kernel.proc import WEXITSTATUS
 from repro.toolkit import run_under_agent
+from repro.workloads import boot_world
 
 
 def run_txn(world, command, outcome="commit", scratch="/tmp/txn.s"):
@@ -180,3 +181,19 @@ def test_scratch_cleaned_after_commit(world):
     scratch = world.lookup_host("/tmp/txnclean")
     leftovers = [n for n in scratch.entries if n.startswith("shadow")]
     assert leftovers == []
+
+
+def test_made_directories_list_as_without_the_agent(world):
+    # A directory made inside another made one resolves (it used to be
+    # ENOENT), and made directories report the mode and size the same
+    # commands give without the agent.
+    command = ("mkdir /home/mbj/T; mkdir /home/mbj/T/s1 /home/mbj/T/s2; "
+               "echo in > /home/mbj/T/s1/f; ls -l /home/mbj/T; "
+               "ls -l /home/mbj/T/s1")
+    plain = boot_world()
+    assert WEXITSTATUS(plain.run("/bin/sh", ["sh", "-c", command])) == 0
+    expected = plain.console.take_output().decode()
+    agent, status, out = run_txn(world, command, outcome="abort")
+    assert WEXITSTATUS(status) == 0
+    assert out == expected
+    assert not world.lookup_host("/home/mbj").contains("T")
