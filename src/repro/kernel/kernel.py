@@ -419,7 +419,10 @@ class Kernel:
         queue having fired an alarm or advanced the idle clock (``Y``).
         A no-op batch — possible only under record's FCFS grants — is
         released unlogged, which is what keeps host-timing-dependent
-        spurious wakeups out of the log.
+        spurious wakeups out of the log.  After a batch the other
+        sleepers are woken only when it changed state (fired an alarm or
+        advanced the idle clock) or the recorder asks for it: replay
+        always does, record only when a sleeper was refused the token.
         """
         self._sleepers += 1
         proc.state = "sleeping:" + wchan
@@ -458,14 +461,16 @@ class Kernel:
                         return
                     if logged:
                         if dirty:
-                            rec.commit(proc, "Y", wchan)
+                            wake = rec.commit(proc, "Y", wchan)
                         else:
-                            rec.release_grant(proc)
+                            wake = rec.release_grant(proc)
                     else:
-                        rec.suspend()
-                    # Token released: let blocked kernel-world entries
-                    # and other sleepers take their turn promptly.
-                    self.wakeup()
+                        wake = rec.suspend()
+                    # Token released: wake the other sleepers when this
+                    # batch changed state or the recorder says one of
+                    # them was refused the token meanwhile.
+                    if dirty or wake:
+                        self.wakeup()
                 if not self._sleepq.wait(timeout=0.05):
                     waited += 0.05
                     if waited >= self._watchdog_seconds:

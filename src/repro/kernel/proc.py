@@ -263,6 +263,8 @@ class Process:
         mask = self.pending & ~self.sigmask
         # SIGKILL and SIGSTOP cannot be blocked.
         mask |= self.pending & (sig.sigmask(sig.SIGKILL) | sig.sigmask(sig.SIGSTOP))
+        if not mask:
+            return 0
         effective = 0
         for signum in range(1, sig.NSIG):
             bit = sig.sigmask(signum)

@@ -124,6 +124,9 @@ class Recorder:
         self._cv = threading.Condition(threading.Lock())
         self._owner = None
         self._depth = 0
+        #: record mode: a sleeper was refused the token since it was
+        #: last released, so the next release must wake the sleep queue
+        self._refused = False
         self._last_progress = time.monotonic()
         self._faults_fired = 0
         self.notes_total = 0
@@ -165,14 +168,18 @@ class Recorder:
 
         Re-entrant per thread: a nested entry (an agent's ``htg`` inside
         its handler's trap) bumps the depth and logs nothing — it is a
-        deterministic continuation of the outer turn.
+        deterministic continuation of the outer turn.  The nested case
+        skips the lock: only the holder moves the token away from
+        itself, and a passive transition (the one change another thread
+        may make) zeroes the depth and turns every later call into a
+        no-op, so a stale depth is never read.
         """
         me = threading.get_ident()
+        if self._owner == me:
+            self._depth += 1
+            return
         with self._cv:
             if self.passive:
-                return
-            if self._owner == me:
-                self._depth += 1
                 return
             if self.mode == RECORD:
                 while self._owner is not None and not self.passive:
@@ -205,8 +212,16 @@ class Recorder:
                     self._check_stall_locked(proc.pid, (kind, proc.pid, value))
 
     def end(self):
-        """Release one level of the token at kernel-world exit."""
+        """Release one level of the token at kernel-world exit.
+
+        A nested level is dropped without the lock (see :meth:`begin`);
+        the outermost one hands the token on, and wakes the sleep queue
+        when :meth:`_wakes_sleepers_locked` says a sleeper needs it.
+        """
         me = threading.get_ident()
+        if self._owner == me and self._depth > 1:
+            self._depth -= 1
+            return
         with self._cv:
             if self.passive or self._owner != me:
                 return
@@ -215,7 +230,9 @@ class Recorder:
                 return
             self._owner = None
             self._cv.notify_all()
-        self._notify_sleepers()
+            wake = self._wakes_sleepers_locked()
+        if wake:
+            self._notify_sleepers()
 
     # ------------------------------------------------------------------
     # the turn token: sleep-queue suspension and grants
@@ -232,14 +249,16 @@ class Recorder:
         Called with the kernel lock held; the sleeper keeps its depth
         itself and passes it back to :meth:`try_resume`.  Nothing is
         logged: going to sleep is deterministic, only being *admitted
-        back* is a decision.
+        back* is a decision.  Returns whether the caller must wake the
+        sleep queue (see :meth:`_wakes_sleepers_locked`).
         """
         me = threading.get_ident()
         with self._cv:
             if self.passive or self._owner != me:
-                return
+                return True
             self._owner = None
             self._cv.notify_all()
+            return self._wakes_sleepers_locked()
 
     def try_resume(self, proc, depth):
         """Non-blocking recheck grant for a woken sleeper (lock held).
@@ -248,12 +267,15 @@ class Recorder:
         first served — and the winner is what gets logged, by
         :meth:`commit`).  Replay mode grants only when the log head
         names this pid with a sleep decision.  Returns True on grant.
+        A refusal is remembered, so that in record mode the holder's
+        release wakes the sleep queue again.
         """
         me = threading.get_ident()
         with self._cv:
             if self.passive:
                 return True
             if self._owner is not None:
+                self._refused = True
                 return False
             if self.mode == RECORD:
                 self._owner = me
@@ -274,23 +296,27 @@ class Recorder:
         *kind* is ``W`` (sleep exited), ``E`` (EINTR), or ``Y`` (side
         effects — an alarm fired or the idle loop advanced the clock —
         then back to sleep).  ``W``/``E`` keep the token: the thread
-        resumes its interrupted turn.  ``Y`` releases it.
+        resumes its interrupted turn.  ``Y`` releases it.  Returns
+        whether the caller must wake the sleep queue (always False for
+        ``W``/``E``, which release nothing).
         """
         with self._cv:
             if self.passive:
-                return
+                return True
             if self.mode == RECORD:
                 self._append_locked(Decision(kind, proc.pid, wchan))
             else:
                 head = self._head_locked()
                 if head is None or not head.matches(kind, proc.pid, wchan):
                     self._diverge_locked(proc.pid, (kind, proc.pid, wchan))
-                    return
+                    return True
                 self._consume_locked()
-            if kind == "Y":
-                self._owner = None
-                self._depth = 0
-                self._cv.notify_all()
+            if kind != "Y":
+                return False
+            self._owner = None
+            self._depth = 0
+            self._cv.notify_all()
+            return self._wakes_sleepers_locked()
 
     def release_grant(self, proc):
         """A granted recheck batch turned out to be a no-op.
@@ -298,18 +324,20 @@ class Recorder:
         Record mode: release silently — nothing happened, nothing is
         logged.  Replay mode: the grant existed *because* the log head
         named this pid, so a no-op means the machine state differs from
-        the recording — a divergence.
+        the recording — a divergence.  Returns whether the caller must
+        wake the sleep queue.
         """
         with self._cv:
             if self.passive:
-                return
+                return True
             if self.mode == REPLAY:
                 self._diverge_locked(proc.pid, None,
                                      reason="granted recheck was a no-op")
-                return
+                return True
             self._owner = None
             self._depth = 0
             self._cv.notify_all()
+            return self._wakes_sleepers_locked()
 
     # ------------------------------------------------------------------
     # validation notes (logged/checked under an already-held token)
@@ -439,6 +467,20 @@ class Recorder:
             return 0
         stack = kernel.obs.spans._stacks.get(pid)
         return stack[-1].sid if stack else 0
+
+    def _wakes_sleepers_locked(self):
+        # Whether a token release must wake the sleep queue.  Replay
+        # always wakes: the next log head may name any sleeper.  Record
+        # wakes only a sleeper that was refused while the token was
+        # held; every other sleeper is waiting on a predicate, and each
+        # predicate change already calls kernel.wakeup() inside a turn
+        # (where the woken sleeper is refused, so this release wakes it
+        # again).  The 50 ms poll stays as the backstop.
+        if self.mode == REPLAY:
+            return True
+        wake = self._refused
+        self._refused = False
+        return wake
 
     def _notify_sleepers(self):
         # Token released outside the kernel lock (trap exit): wake the

@@ -3,8 +3,9 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.kernel import Kernel
 from repro.kernel import signals as sig
-from repro.kernel.proc import WEXITSTATUS
+from repro.kernel.proc import WEXITSTATUS, Process
 from repro.kernel.sysent import number_of
 from repro.workloads import boot_world
 
@@ -119,3 +120,45 @@ def test_handler_runs_with_its_signal_blocked(signum):
 
     assert WEXITSTATUS(kernel.run_entry(main)) == 0
     assert observed == [True, True]
+
+
+def _deliverable_by_scan(proc):
+    """The 31-signal scan deliverable_mask performs, without its early
+    exit: the reference it must agree with."""
+    mask = proc.pending & ~proc.sigmask
+    mask |= proc.pending & (sig.sigmask(sig.SIGKILL)
+                            | sig.sigmask(sig.SIGSTOP))
+    effective = 0
+    for signum in range(1, sig.NSIG):
+        bit = sig.sigmask(signum)
+        if not mask & bit:
+            continue
+        action = proc.dispositions[signum].handler
+        if action == sig.SIG_IGN and signum not in sig.UNCATCHABLE:
+            continue
+        if action == sig.SIG_DFL and sig.default_action(signum) == "ignore":
+            continue
+        effective |= bit
+    return effective
+
+
+_handlers = st.sampled_from([sig.SIG_DFL, sig.SIG_IGN, "catch"])
+#: a few signals at a time, so that pending-but-all-blocked (the early
+#: exit) and SIGKILL/SIGSTOP under a full mask come up often
+_sparse_masks = st.one_of(_masks, st.sets(
+    st.integers(min_value=1, max_value=sig.NSIG - 1), max_size=4).map(
+    lambda signums: sum(sig.sigmask(s) for s in signums)))
+
+
+@given(pending=_sparse_masks, sigmask=_sparse_masks,
+       handlers=st.lists(_handlers, min_size=sig.NSIG - 1,
+                         max_size=sig.NSIG - 1))
+@settings(max_examples=200, deadline=None)
+def test_deliverable_mask_matches_the_full_scan(pending, sigmask, handlers):
+    proc = Process(Kernel(), 1, 0, None, None, None)
+    proc.pending = pending
+    proc.sigmask = sigmask
+    for signum, handler in zip(range(1, sig.NSIG), handlers):
+        proc.dispositions[signum] = sig.Sigaction(
+            (lambda s: None) if handler == "catch" else handler)
+    assert proc.deliverable_mask() == _deliverable_by_scan(proc)
