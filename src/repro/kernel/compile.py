@@ -41,12 +41,18 @@ original route once and evicts its own row, which the next miss
 rebuilds against the new chain shape.
 
 **Stand-down.**  A row takes its short route only when that is
-observably identical to the tower.  Recorded and observed traps never
-reach the table.  Kernel terminals stand down under dfstrace and the
-ktrace flag; compiled chains also under the guard rail and the
-profiler; downcall chains under the recorder, obs, dfstrace and the
-profiler.  With the ``trap_fast`` flag off every process uses
-:data:`_TOWER`, whose rows are all the tower.
+observably identical to the tower, so a row stands down only for an
+observer that sees something the row skips.  Kernel rows never stand
+down: every observer of an uninterposed call (DFSTrace, the profiler's
+kernel tick, watches, the recorder's turn) sees only
+:func:`~repro.kernel.trap.kernel_entry` or wraps the trap itself.
+Entry chains skip agent layers, so they stand down under the guard
+rail and the profiler, which see those layers.  Downcall chains also
+skip the downcall, so they stand down under the recorder (a top-level
+downcall is a logged turn), obs (it counts downcalls) and the
+profiler.  Observed traps never reach the table: obs wraps the tower.
+With the ``trap_fast`` flag off every process uses :data:`_TOWER`,
+whose rows are all the tower.
 """
 
 from repro.kernel.errno import SyscallError
@@ -124,11 +130,8 @@ def _kernel_row(number):
 
     def row(ctx, args):
         kernel = ctx.kernel
-        proc = ctx.proc
-        if kernel.dfstrace is None and not proc.ktrace_on:
-            kernel.trap_fast_total += 1
-            return kernel_entry(kernel, proc, impl, entry, args)
-        return kernel.do_syscall(proc, number, args)
+        kernel.trap_fast_total += 1
+        return kernel_entry(kernel, ctx.proc, impl, entry, args)
 
     return row
 
@@ -301,8 +304,7 @@ def _entry_row(table, number, handler):
         kernel = ctx.kernel
         if DOWN_EPOCH[0] != epoch:
             table.pop(number, None)  # stale: the next miss rebuilds it
-        elif (kernel.guard is None and kernel.profiler is None
-                and kernel.dfstrace is None and not ctx.proc.ktrace_on):
+        elif kernel.guard is None and kernel.profiler is None:
             kernel.trap_compiled_total += 1
             return chain(ctx, args)
         return tower(ctx, number, args)
@@ -331,7 +333,7 @@ def _down_row(table, number):
         if DOWN_EPOCH[0] != epoch:
             table.pop(number, None)  # stale: the next miss rebuilds it
         elif (kernel.recorder is None and kernel.obs is None
-                and kernel.dfstrace is None and kernel.profiler is None):
+                and kernel.profiler is None):
             kernel.down_compiled_total += 1
             return chain(ctx, tuple(args))
         return fallback(ctx, args)

@@ -44,11 +44,11 @@ configuration uses :meth:`FastPathConfig.all_on`.
 
 import os
 
+from repro.kernel.namecache import (
+    DEFAULT_CAPACITY as DEFAULT_NAMECACHE_CAPACITY)
+
 #: the three behaviour-transparent fast-path flags
 FLAG_NAMES = ("namecache", "trap_fast", "zero_copy")
-
-#: default name-cache capacity (4.3BSD sized its nc hash by maxusers)
-DEFAULT_NAMECACHE_CAPACITY = 4096
 
 #: stdio readahead used by the "all on" benchmark configuration
 DEFAULT_READAHEAD = 65536
@@ -57,27 +57,21 @@ DEFAULT_READAHEAD = 65536
 class FastPathConfig:
     """One kernel's fast-path flag word, fixed at boot."""
 
-    __slots__ = ("namecache", "trap_fast", "zero_copy",
-                 "namecache_capacity", "stdio_readahead")
+    __slots__ = ("namecache", "trap_fast", "zero_copy", "stdio_readahead")
 
     def __init__(self, namecache=True, trap_fast=True, zero_copy=True,
-                 namecache_capacity=DEFAULT_NAMECACHE_CAPACITY,
                  stdio_readahead=0):
         self.namecache = bool(namecache)
         self.trap_fast = bool(trap_fast)
         self.zero_copy = bool(zero_copy)
-        self.namecache_capacity = int(namecache_capacity)
         self.stdio_readahead = int(stdio_readahead)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def all_on(cls, stdio_readahead=DEFAULT_READAHEAD,
-               namecache_capacity=DEFAULT_NAMECACHE_CAPACITY):
+    def all_on(cls, stdio_readahead=DEFAULT_READAHEAD):
         """Every fast path on, including the stdio readahead sizing."""
-        return cls(True, True, True,
-                   namecache_capacity=namecache_capacity,
-                   stdio_readahead=stdio_readahead)
+        return cls(True, True, True, stdio_readahead=stdio_readahead)
 
     @classmethod
     def none(cls):
@@ -105,7 +99,7 @@ class FastPathConfig:
         Accepts an existing :class:`FastPathConfig` (returned as is),
         ``None`` (environment default), or a string: ``"all"``,
         ``"none"``/``"off"``, or a comma list of flag names optionally
-        with ``readahead=N`` / ``capacity=N`` settings, e.g.
+        with a ``readahead=N`` setting, e.g.
         ``"namecache,trap_fast,readahead=65536"``.
         """
         if isinstance(spec, cls):
@@ -130,12 +124,9 @@ class FastPathConfig:
             if "=" in piece:
                 key, _, value = piece.partition("=")
                 key = key.strip()
-                if key == "readahead":
-                    settings["stdio_readahead"] = int(value)
-                elif key == "capacity":
-                    settings["namecache_capacity"] = int(value)
-                else:
+                if key != "readahead":
                     raise ValueError("unknown fast-path setting %r" % (key,))
+                settings["stdio_readahead"] = int(value)
             else:
                 if piece not in FLAG_NAMES:
                     raise ValueError("unknown fast-path flag %r" % (piece,))
@@ -155,7 +146,7 @@ class FastPathConfig:
             "namecache": self.namecache,
             "trap_fast": self.trap_fast,
             "zero_copy": self.zero_copy,
-            "namecache_capacity": self.namecache_capacity,
+            "namecache_capacity": DEFAULT_NAMECACHE_CAPACITY,
             "stdio_readahead": self.stdio_readahead,
         }
 

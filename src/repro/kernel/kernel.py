@@ -102,8 +102,7 @@ class Kernel:
         self.fastpaths = FastPathConfig.parse(fastpaths)
         #: the 4.3BSD directory name lookup cache, shared by every volume
         #: this kernel creates (None when the fast path is off)
-        self.namecache = (NameCache(self.fastpaths.namecache_capacity)
-                          if self.fastpaths.namecache else None)
+        self.namecache = NameCache() if self.fastpaths.namecache else None
         self.rootfs = Filesystem(self.clock, dev=1,
                                  namecache=self.namecache,
                                  zero_copy=self.fastpaths.zero_copy)
@@ -369,64 +368,28 @@ class Kernel:
         is pending, like a 4.3BSD ``tsleep`` at a signal-catching priority.
         When every live process is asleep, the earliest armed alarm fires
         (the idle loop advancing virtual time).
+
+        Under record/replay's turn token only *admission* changes.  The
+        caller entered holding the token (it is inside a trap), so the
+        first pass runs inline — a deterministic continuation of the
+        trap, logged as nothing.  Before each ``wait`` the token is
+        suspended so other threads can take turns; each wakeup asks the
+        recorder for a *grant* (FCFS in record mode, log-head-driven in
+        replay) and a granted pass runs until it either exits the sleep
+        (``W``), raises ``EINTR`` (``E``), or falls back to the queue
+        having fired an alarm or advanced the idle clock (``Y``).  A
+        no-op pass — possible only under record's FCFS grants — is
+        released unlogged, which keeps host-timing-dependent spurious
+        wakeups out of the log.  After a pass the other sleepers are
+        woken only when it changed state or the recorder asks for it:
+        replay always does, record only when a sleeper was refused the
+        token.  Without a recorder every pass is granted.
         """
-        if self.recorder is not None:
-            return self._sleep_until_recorded(
-                self.recorder, predicate, proc, wchan, interruptible)
+        rec = self.recorder
         self._sleepers += 1
         proc.state = "sleeping:" + wchan
-        waited = 0.0
-        try:
-            while True:
-                if self.crashed is not None:
-                    # The machine halted while we slept: die in place.
-                    raise MachineCrash(self.crashed)
-                if predicate():
-                    break
-                self._check_alarm_locked(proc)
-                if interruptible and proc.has_deliverable_signal():
-                    raise SyscallError(EINTR, wchan)
-                if self._sleepers >= self._live_count_locked():
-                    if self._fire_earliest_alarm_locked():
-                        continue
-                if not self._sleepq.wait(timeout=0.05):
-                    waited += 0.05
-                    if waited >= self._watchdog_seconds:
-                        raise RuntimeError(
-                            "sleep_until watchdog: pid %d stuck on %r"
-                            % (proc.pid, wchan)
-                        )
-                else:
-                    waited = 0.0
-        finally:
-            self._sleepers -= 1
-            if proc.state.startswith("sleeping:"):
-                proc.state = RUNNING
-
-    def _sleep_until_recorded(self, rec, predicate, proc, wchan,
-                              interruptible):
-        """The sleep loop under record/replay's turn token.
-
-        Semantics match :meth:`sleep_until` exactly; what changes is
-        *admission*.  The caller entered holding the turn token (it is
-        inside a trap), so the first pass through the wait loop runs
-        inline — a deterministic continuation of the trap, logged as
-        nothing.  Before each ``wait`` the token is suspended so other
-        threads can take turns; each wakeup asks the recorder for a
-        *grant* (FCFS in record mode, log-head-driven in replay) and a
-        granted batch runs loop iterations until it either exits the
-        sleep (``W``), raises ``EINTR`` (``E``), or falls back to the
-        queue having fired an alarm or advanced the idle clock (``Y``).
-        A no-op batch — possible only under record's FCFS grants — is
-        released unlogged, which is what keeps host-timing-dependent
-        spurious wakeups out of the log.  After a batch the other
-        sleepers are woken only when it changed state (fired an alarm or
-        advanced the idle clock) or the recorder asks for it: replay
-        always does, record only when a sleeper was refused the token.
-        """
-        self._sleepers += 1
-        proc.state = "sleeping:" + wchan
-        depth = rec.held_depth()
+        if rec is not None:
+            depth = rec.held_depth()
         granted = True   # the inline first pass, under the trap's token
         logged = False   # True when the current grant must commit a line
         waited = 0.0
@@ -434,8 +397,8 @@ class Kernel:
             while True:
                 if granted:
                     if self.crashed is not None:
-                        # Halted while we slept (the passive transition
-                        # frees blocked sleepers): die without logging.
+                        # The machine halted while we slept (the passive
+                        # transition frees blocked sleepers): die in place.
                         raise MachineCrash(self.crashed)
                     dirty = False
                     exit_kind = None
@@ -459,18 +422,19 @@ class Kernel:
                         if exit_kind == "E":
                             raise SyscallError(EINTR, wchan)
                         return
-                    if logged:
-                        if dirty:
-                            wake = rec.commit(proc, "Y", wchan)
+                    if rec is not None:
+                        if logged:
+                            if dirty:
+                                wake = rec.commit(proc, "Y", wchan)
+                            else:
+                                wake = rec.release_grant(proc)
                         else:
-                            wake = rec.release_grant(proc)
-                    else:
-                        wake = rec.suspend()
-                    # Token released: wake the other sleepers when this
-                    # batch changed state or the recorder says one of
-                    # them was refused the token meanwhile.
-                    if dirty or wake:
-                        self.wakeup()
+                            wake = rec.suspend()
+                        # Token released: wake the other sleepers when
+                        # this pass changed state or the recorder says
+                        # one of them was refused the token meanwhile.
+                        if dirty or wake:
+                            self.wakeup()
                 if not self._sleepq.wait(timeout=0.05):
                     waited += 0.05
                     if waited >= self._watchdog_seconds:
@@ -480,8 +444,8 @@ class Kernel:
                         )
                 else:
                     waited = 0.0
-                granted = rec.try_resume(proc, depth)
-                logged = granted
+                if rec is not None:
+                    granted = logged = rec.try_resume(proc, depth)
         finally:
             self._sleepers -= 1
             if proc.state.startswith("sleeping:"):

@@ -37,7 +37,7 @@ lock) and are exported through ``Observability.snapshot()`` and the
 
 from collections import OrderedDict
 
-#: default capacity (see fastpath.DEFAULT_NAMECACHE_CAPACITY)
+#: the capacity every kernel boots with (4.3BSD sized its nc hash by maxusers)
 DEFAULT_CAPACITY = 4096
 
 

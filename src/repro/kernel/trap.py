@@ -28,12 +28,17 @@ path) or the observability counters ``("trap", name)`` /
 
 **Dispatch.**  Every route into a kernel implementation goes through
 :func:`kernel_entry`, the one copy of the kernel-entry body.  A trap
-with no observer live looks its number up in ``proc.dispatch``, the
-table of the process's emulation vector (see
-:class:`repro.kernel.compile.DispatchTable`): one row per number, built
-on first use and shared by every process with that vector.  Observed,
-recorded and stood-down traps take the layer :func:`tower`, the
-reference every row must match.
+looks its number up in ``proc.dispatch``, the table of the process's
+emulation vector (see :class:`repro.kernel.compile.DispatchTable`): one
+row per number, built on first use and shared by every process with
+that vector.  Observed and stood-down traps take the layer
+:func:`tower`, the reference every row must match.
+
+**Record/replay.**  The recorder wraps the one body of each path it
+serializes — the trap (a ``T`` turn), the downcall (``H``) and
+:meth:`UserContext.consume_cpu` (``C``) — in a ``begin``/``end`` pair;
+an unrecorded call pays one ``is None`` test for it.  A recorded trap
+takes the same dispatch row as an unrecorded one.
 
 **Observability.** When ``kernel.obs`` is set (see :mod:`repro.obs`),
 the trap path records per-call counters, virtual-clock latency
@@ -142,27 +147,22 @@ def htg_unix_syscall(kernel, proc, number, args):
         # downcall), where begin() just bumps the depth and logs
         # nothing; a genuinely top-level htg records its own H turn.
         rec.begin(proc, "H", sysent.name_of(number))
-        try:
-            return _htg_body(kernel, proc, number, args)
-        finally:
+    try:
+        proc.rusage.ru_nsyscalls += 1
+        with kernel._sleepq:
+            if number in proc.emulation_vector:
+                proc.rusage.ru_stime_usec += 1
+        obs = kernel.obs
+        if obs is not None:
+            name = sysent.name_of(number)
+            if obs.metrics_on:
+                obs.metrics.inc(("htg", name))
+            if obs.wants(proc):
+                obs.emit(ev.HTG, proc, name, _brief(args))
+        return kernel.do_syscall(proc, number, args)
+    finally:
+        if rec is not None:
             rec.end()
-    return _htg_body(kernel, proc, number, args)
-
-
-def _htg_body(kernel, proc, number, args):
-    """The downcall proper (see :func:`htg_unix_syscall`)."""
-    proc.rusage.ru_nsyscalls += 1
-    with kernel._sleepq:
-        if number in proc.emulation_vector:
-            proc.rusage.ru_stime_usec += 1
-    obs = kernel.obs
-    if obs is not None:
-        name = sysent.name_of(number)
-        if obs.metrics_on:
-            obs.metrics.inc(("htg", name))
-        if obs.wants(proc):
-            obs.emit(ev.HTG, proc, name, _brief(args))
-    return kernel.do_syscall(proc, number, args)
 
 
 class UserContext:
@@ -189,67 +189,47 @@ class UserContext:
             raise MachineCrash(kernel.crashed)
         proc.rusage.ru_nsyscalls += 1
         kernel.trap_total += 1
-        if kernel.recorder is not None:
-            return self._trap_recorded(kernel.recorder, number, args)
-        obs = kernel.obs
-        if obs is not None:
-            return self._trap_observed(obs, number, args)
-        # The process's dispatch table (shared by every process with the
-        # same emulation vector) holds one row per number, built on
-        # first use: the kernel terminal for an uninterposed call, the
-        # compiled chain or the tower for an interposed one.  Signals
-        # are delivered at the boundary, outside the kernel lock, which
-        # take_signal re-acquires.
-        try:
-            result = proc.dispatch[number](self, args)
-        except SyscallError:
-            deliver_pending_signals(self)
-            raise
-        deliver_pending_signals(self)
-        return result
-
-    def _trap_recorded(self, rec, number, args):
-        """The trap path under record/replay's turn token.
-
-        The whole trap — agent handler, kernel work, sleeps (which
-        suspend and re-acquire the token inside ``sleep_until``), and
-        boundary signal delivery — runs as one recorded *turn*; with
-        observability also enabled the observed path runs inside it, so
-        obs event order is part of what replay reproduces bit-for-bit.
-        Dispatch always takes the :func:`tower`: both record and replay
-        use the same code, so the route counters stay comparable between
-        the two runs.
-        """
-        proc = self.proc
-        kernel = self.kernel
-        rec.begin(proc, "T", sysent.name_of(number))
-        try:
-            # After begin (a passive-freed thread lands here) but before
-            # the observed path: a post-crash trap must emit nothing, or
-            # host scheduling would leak into the recorded event stream.
+        rec = kernel.recorder
+        if rec is not None:
+            # The whole trap — agent handler, kernel work, sleeps (which
+            # suspend and re-acquire the token in sleep_until), and
+            # boundary signal delivery — runs as one recorded turn.
+            rec.begin(proc, "T", sysent.name_of(number))
             if kernel.crashed is not None:
+                # A passive-freed thread lands here: a post-crash trap
+                # must emit nothing, or host scheduling would leak into
+                # the recorded event stream.
+                rec.end()
                 raise MachineCrash(kernel.crashed)
+        try:
             obs = kernel.obs
-            if obs is not None:
-                return self._trap_observed(obs, number, args)
+            # The process's dispatch table (shared by every process with
+            # the same emulation vector) holds one row per number, built
+            # on first use: the kernel terminal for an uninterposed call,
+            # the compiled chain or the tower for an interposed one.
+            # Signals are delivered at the boundary, outside the kernel
+            # lock, which take_signal re-acquires.
             try:
-                result = tower(self, number, args)
+                if obs is None:
+                    result = proc.dispatch[number](self, args)
+                else:
+                    result = self._trap_observed(obs, number, args)
             except SyscallError:
                 deliver_pending_signals(self)
                 raise
             deliver_pending_signals(self)
             return result
         finally:
-            rec.end()
+            if rec is not None:
+                rec.end()
 
     def _trap_observed(self, obs, number, args):
-        """The trap path with observability enabled.
+        """The :func:`tower` with observability enabled.
 
-        Mirrors :meth:`trap` exactly (redirect decision, signal delivery
-        on return and on :class:`SyscallError`, clean unwind for
-        ``ExecImage``/``ProcessExit``) while recording counters, the
-        virtual-clock latency histogram, and — when the process is
-        traced or the bus has subscribers — enter/return events.
+        Records counters, the virtual-clock latency histogram, and —
+        when the process is traced or the bus has subscribers —
+        enter/return events around the tower.  :meth:`trap` delivers
+        signals after the return event, as on every route.
         """
         proc = self.proc
         kernel = self.kernel
@@ -279,12 +259,10 @@ class UserContext:
             if wants:
                 obs.emit(ev.TRAP_RET, proc, name,
                          "err %s (%d vusec)" % (errname, elapsed))
-            deliver_pending_signals(self)
             raise
         except (ExecImage, ProcessExit):
             # The trap never returns (exec replaces the image, exit tears
-            # the process down): no signal delivery, matching the plain
-            # path's unwind, but do record that the call did not return.
+            # the process down): record that the call did not return.
             if wants:
                 obs.emit(ev.TRAP_RET, proc, name, "unwound")
             raise
@@ -294,7 +272,6 @@ class UserContext:
         if wants:
             obs.emit(ev.TRAP_RET, proc, name,
                      "-> %s (%d vusec)" % (_brief((result,)), elapsed))
-        deliver_pending_signals(self)
         return result
 
     def htg(self, number, *args):
@@ -306,28 +283,23 @@ class UserContext:
         kernel = self.kernel
         if kernel.crashed is not None:
             raise MachineCrash(kernel.crashed)
+        proc = self.proc
         prof = kernel.profiler
         rec = kernel.recorder
         if rec is not None:
             # The clock advance happens outside any trap, so two
             # processes burning CPU race on it: make it its own turn.
-            rec.begin(self.proc, "C", str(usec))
-            try:
-                start = kernel.clock._usec
-                self.proc.rusage.ru_utime_usec += usec
-                kernel.clock.advance(usec)
-                if prof is not None:
-                    prof.sample_span(self.proc, None, start)
-                deliver_pending_signals(self)
-            finally:
+            rec.begin(proc, "C", str(usec))
+        try:
+            start = kernel.clock._usec
+            proc.rusage.ru_utime_usec += usec
+            kernel.clock.advance(usec)
+            if prof is not None:
+                prof.sample_span(proc, None, start)
+            deliver_pending_signals(self)
+        finally:
+            if rec is not None:
                 rec.end()
-            return
-        start = kernel.clock._usec
-        self.proc.rusage.ru_utime_usec += usec
-        kernel.clock.advance(usec)
-        if prof is not None:
-            prof.sample_span(self.proc, None, start)
-        deliver_pending_signals(self)
 
 
 def deliver_pending_signals(ctx):

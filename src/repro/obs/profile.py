@@ -24,8 +24,7 @@ deterministic workload profile identically.
 Pay-per-use: ``kernel.profiler`` is ``None`` by default and every hook
 site is a single ``is None`` test.  While a profiler is attached the
 compiled agent-stack dispatch stands down (flat chains skip the
-``_emulation_entry`` frames the profiler attributes cost to), exactly
-as it does for the recorder and dfstrace.
+``_emulation_entry`` frames the profiler attributes cost to).
 
 Output formats (see ``scripts/profile.py`` for the CLI):
 

@@ -1,13 +1,14 @@
 """Tests for compiled agent-stack dispatch (repro.kernel.compile).
 
 A compiled chain may only fire when it is observably identical to the
-layer tower it replaces: no recorder, no obs, no guard, no dfstrace, no
-ktrace flag, and no staleness (vector or ``_down`` change since the
-build).  These tests pin the table's life cycle, every stand-down
-condition, exact behavioural parity (errnos, EINVAL wording, signal
-delivery, machine crashes), the vectored ``readv``/``writev``
-downcalls, and — via a hypothesis lockstep machine and a record/replay
-roundtrip — that compiled-on and compiled-off worlds are
+layer tower it replaces: no obs, no guard, no profiler, and no
+staleness (vector or ``_down`` change since the build); a downcall
+chain also not under the recorder.  These tests pin the table's life
+cycle, every stand-down condition, exact behavioural parity (errnos,
+EINVAL wording, signal delivery, machine crashes), the vectored
+``readv``/``writev`` downcalls, and — via a hypothesis lockstep
+machine, DFSTrace of the benchmark's workloads, and record/replay
+across routes — that compiled-on and compiled-off worlds are
 indistinguishable.
 """
 
@@ -22,8 +23,10 @@ from repro.kernel.ofile import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 from repro.kernel.proc import WEXITSTATUS
 from repro.kernel.sysent import number_of
 from repro.kernel.trap import UserContext
+from repro.obs.recorder import RECORD, REPLAY, Recorder
 from repro.toolkit.pathnames import PathSymbolicSyscall
 from repro.toolkit.symbolic import SymbolicSyscall
+from tests.matrix_support import matrix, run_workload
 
 NR = {n: number_of(n) for n in (
     "getpid", "open", "close", "read", "write", "readv", "writev",
@@ -171,32 +174,61 @@ def test_obs_stands_down():
     assert k.obs.metrics.counter(("trap", "getpid")) >= 1
 
 
-def test_ktrace_flag_stands_down():
+def test_ktrace_flag_keeps_the_chain():
+    # Without obs the ktrace flag records nothing, so the route stays.
     k = Kernel()
     ctx, _ = _attached(k)
     ctx.trap(NR["getpid"])
     before = k.trap_compiled_total
     ctx.proc.ktrace_on = True
-    ctx.trap(NR["getpid"])
-    assert k.trap_compiled_total == before
-    ctx.proc.ktrace_on = False
+    assert k.obs is None
     ctx.trap(NR["getpid"])
     assert k.trap_compiled_total == before + 1
 
 
-def test_dfstrace_stands_down():
+def _dfstrace_run(workload, stack, fastpaths):
+    """Run *workload* under *stack* with DFSTrace on; returns the
+    collector and how many traps and downcalls took a row or chain."""
     from repro.kernel import dfstrace
 
-    k = Kernel()
-    ctx, _ = _attached(k)
-    ctx.trap(NR["getpid"])
-    before = (k.trap_compiled_total, k.down_compiled_total)
-    dfstrace.enable(k)
-    ctx.trap(NR["getpid"])
-    assert (k.trap_compiled_total, k.down_compiled_total) == before
-    dfstrace.disable(k)
-    ctx.trap(NR["getpid"])
-    assert k.trap_compiled_total == before[0] + 1
+    boot = {} if fastpaths is None else {"fastpaths": fastpaths}
+    kernel, status = run_workload(workload, stack, dfstrace.enable, **boot)
+    assert WEXITSTATUS(status) == 0
+    routed = (kernel.trap_fast_total + kernel.trap_compiled_total
+              + kernel.down_compiled_total)
+    return kernel.dfstrace, routed
+
+
+@pytest.mark.parametrize("stack", matrix.STACKS)
+def test_dfstrace_format_identical_across_routes(stack):
+    """DFSTrace records in kernel_entry, which every route shares, so the
+    default config's rows leave the tower's trace byte for byte."""
+    rows, routed = _dfstrace_run("format", stack, None)
+    tower, tower_routed = _dfstrace_run("format", stack, TOWER)
+    assert routed > 0
+    assert tower_routed == 0
+    assert rows.records
+    assert rows.to_text() == tower.to_text()
+
+
+@pytest.mark.parametrize("stack", matrix.STACKS)
+def test_dfstrace_make_identical_per_process_across_routes(stack):
+    """make's processes interleave by host scheduling, which moves the
+    timestamps even between two runs of one config: compare each
+    process's record sequence without the time field."""
+    def per_pid(trace):
+        seen = {}
+        for record in trace.records:
+            seen.setdefault(record.pid, []).append(
+                (record.opcode, record.error, record.detail))
+        return seen
+
+    rows, routed = _dfstrace_run("make", stack, None)
+    tower, tower_routed = _dfstrace_run("make", stack, TOWER)
+    assert routed > 0
+    assert tower_routed == 0
+    assert len(per_pid(rows)) > 60
+    assert per_pid(rows) == per_pid(tower)
 
 
 def test_guard_stands_down():
@@ -488,9 +520,8 @@ if HAVE_HYPOTHESIS:
 
 def test_record_replay_roundtrip_with_compiled_enabled():
     """A chaos scenario on the default kernel (compiled dispatch on)
-    must still record and replay bit-identically: under the recorder
-    every compiled chain stands down, so the decision log and event
-    stream are exactly the tower's."""
+    must still record and replay bit-identically, guard rail, obs and
+    all."""
     from repro.obs.timetravel import verify_roundtrip
 
     recorded, replayed = verify_roundtrip(seed=1107, workload="files")
@@ -498,8 +529,32 @@ def test_record_replay_roundtrip_with_compiled_enabled():
     assert recorded.events == replayed.events
 
 
+@pytest.mark.parametrize("stack", ["timex", "union", "deep"])
+def test_tower_recording_replays_on_rows(stack):
+    """make recorded on the tower (no obs) replays on the default
+    config: a recorded trap takes the same row as an unrecorded one,
+    and the rows make exactly the tower's decisions.  deep compiles no
+    entry chain (its top agent is opaque) and guards the rest."""
+    recorder = Recorder(mode=RECORD)
+    kernel, status = run_workload("make", stack, recorder.attach,
+                                  fastpaths=TOWER)
+    directory = matrix.WORKLOADS["make"].directory
+    digest = matrix.output_digest(kernel, directory)
+    assert WEXITSTATUS(status) == 0
+    assert kernel.trap_compiled_total == 0
+
+    replayer = Recorder(mode=REPLAY, log=recorder.decisions)
+    kernel, replayed_status = run_workload("make", stack, replayer.attach)
+    replayer.raise_divergence()
+    assert replayer.position == len(recorder.decisions)
+    assert replayed_status == status
+    assert matrix.output_digest(kernel, directory) == digest
+    if stack != "deep":
+        assert kernel.trap_compiled_total > 0
+
+
 def test_obs_streams_identical_compiled_on_off():
-    """With tracing live the compiled path stands down entirely, so the
+    """With tracing live every trap takes the tower, so the
     event streams of compiled-on and compiled-off kernels match tuple
     for tuple."""
     streams = []

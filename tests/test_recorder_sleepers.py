@@ -12,48 +12,25 @@ handoffs carry the run.  Two properties are pinned here:
   three-deep agent stack.
 """
 
-import importlib.util
-import os
-
 import pytest
 
-import repro.workloads.make_programs as mk
 from repro.kernel.proc import WEXITSTATUS
 from repro.obs.recorder import RECORD, REPLAY, Recorder
 from repro.obs.timetravel import META_EVENT_KINDS
-from repro.workloads import boot_world
+from tests.matrix_support import matrix, run_workload
 
-
-def _load_matrix():
-    """The benchmark's stacks and output digest (perfbench/matrix.py)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_matrix", os.path.join(os.path.dirname(__file__), "..",
-                                         "perfbench", "matrix.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-matrix = _load_matrix()
 MAKE = matrix.WORKLOADS["make"]
 
 
 def _run_make(stack, recorder, events=None):
-    """Boot, set up and run make under *stack* with *recorder* attached;
-    returns ``(kernel, wait status)``."""
-    kernel = boot_world(obs="metrics")
-    if events is not None:
-        kernel.obs.bus.subscribe(lambda e: events.append(e.to_tuple()))
-    recorder.attach(kernel)
-    mk.setup(kernel, seed=1)
-    agents = matrix.build_stack(stack, MAKE.directory)
+    """Run make under *stack* with *recorder* attached; returns
+    ``(kernel, wait status)``."""
+    def prepare(kernel):
+        if events is not None:
+            kernel.obs.bus.subscribe(lambda e: events.append(e.to_tuple()))
+        recorder.attach(kernel)
 
-    def loader(ctx):
-        for agent in agents:
-            agent.attach(ctx)
-        agents[-1].exec_client(MAKE.path, list(MAKE.argv), {})
-
-    return kernel, kernel.run_entry(loader)
+    return run_workload("make", stack, prepare, obs="metrics")
 
 
 def test_record_wakes_only_refused_sleepers():
