@@ -87,9 +87,10 @@ def _parse_args(argv):
 def _report_line(result):
     report = result.report
     return ("seed=%d %s/%s/%s outcome=%s status=%r decisions=%d "
-            "invariants=%s"
+            "compiled=%d down=%d invariants=%s"
             % (report.seed, report.policy, report.mechanism, report.workload,
                report.outcome, report.status, len(result.decisions),
+               result.compiled, result.down,
                "ok" if report.passed else "VIOLATED"))
 
 

@@ -17,7 +17,8 @@ A :class:`DispatchTable` maps a syscall number to ``row(ctx, args)``;
 * a **compiled chain** — the number is interposed, and every layer that
   :mod:`repro.toolkit.compile_support` can prove transparent collapses
   into one flat closure: default-fill the arguments, run the terminal
-  (the kernel under the downcall's charges, or the first opaque handler
+  (the kernel through the downcall's own body,
+  :func:`~repro.kernel.trap.htg_row`, or the first opaque handler
   below), then apply the numeric layer's errno/two-register
   normalization once;
 * the **tower** — anything else (:func:`~repro.kernel.trap.tower`).
@@ -27,6 +28,16 @@ Every toolkit agent also keeps a table of its *downcalls*
 the sub-tower below the agent, so that even an opaque agent's forwards
 (the trace agent's log writes, say) skip it; a ``None`` row means the
 plain downcall.
+
+**Observers as a stage.**  Each chain is built twice: the plain
+closure an unobserved row runs, and a *staged* twin the row runs
+instead when ``kernel.obs`` is set — the same attribute test that
+picks the route, so the unobserved path gains no frame.  The staged
+twin does the accounting of the ``_emulation_entry`` frames the chain
+skips: one ``("agent.call", layer, name)`` and the ``layer.usec``
+histograms for every collapsed layer, with the chain's inclusive host
+time (see :func:`_stage`).  The downcall's counter, event and recorder
+turn need no stage: the kernel terminal *is* the downcall body.
 
 **Sharing and invalidation.**  Rows bind no process, so one table
 serves every process with the vector it was built for: fork shares it
@@ -43,20 +54,21 @@ rebuilds against the new chain shape.
 **Stand-down.**  A row takes its short route only when that is
 observably identical to the tower, so a row stands down only for an
 observer that sees something the row skips.  Kernel rows never stand
-down: every observer of an uninterposed call (DFSTrace, the profiler's
-kernel tick, watches, the recorder's turn) sees only
+down: every observer of an uninterposed call (obs, DFSTrace, the
+profiler's kernel tick, watches, the recorder's turn) sees only
 :func:`~repro.kernel.trap.kernel_entry` or wraps the trap itself.
-Entry chains skip agent layers, so they stand down under the guard
-rail and the profiler, which see those layers.  Downcall chains also
-skip the downcall, so they stand down under the recorder (a top-level
-downcall is a logged turn), obs (it counts downcalls) and the
-profiler.  Observed traps never reach the table: obs wraps the tower.
+Chains skip agent layers, so entry chains stand down under the guard
+rail and the profiler, and downcall chains under the profiler, which
+see those layers.  Obs and the recorder never change the route.
 With the ``trap_fast`` flag off every process uses :data:`_TOWER`,
 whose rows are all the tower.
 """
 
+from time import perf_counter
+
 from repro.kernel.errno import SyscallError
-from repro.kernel.sysent import SYSCALLS, TWO_REGISTER_CALLS
+from repro.kernel.sysent import SYSCALLS, TWO_REGISTER_CALLS, name_of
+from repro.obs.metrics import layer_keys
 
 #: bumped on every agent ``_down`` mutation; compiled chains carry the
 #: epoch they were built under and take the original route on any
@@ -137,30 +149,14 @@ def _kernel_row(number):
 
 
 def _kernel_terminal(number):
-    """A chain's kernel terminal, with the htg downcall's charges.
+    """A chain's kernel terminal: the htg downcall's own body
+    (:func:`~repro.kernel.trap.htg_row`), or ``None`` when the kernel
+    does not implement *number*."""
+    from repro.kernel.trap import HTG_ROWS
 
-    Replays the downcall's kernel-crossing charge (``ru_nsyscalls``)
-    and the interposed-number system-time tax, then enters the kernel.
-    Returns ``None`` when the kernel does not implement *number*.
-    """
-    from repro.kernel.trap import kernel_entry
-
-    found = _implementation(number)
-    if found is None:
+    if _implementation(number) is None:
         return None
-    impl, entry = found
-
-    def terminal(ctx, args):
-        # Charged outside the kernel lock, like the trap's own crossing
-        # charge: only the process's own thread writes its rusage.
-        proc = ctx.proc
-        rusage = proc.rusage
-        rusage.ru_nsyscalls += 1
-        if number in proc.emulation_vector:
-            rusage.ru_stime_usec += 1
-        return kernel_entry(ctx.kernel, proc, impl, entry, args)
-
-    return terminal
+    return HTG_ROWS[number]
 
 
 def _call(handler, number):
@@ -195,20 +191,21 @@ def _method_terminal(agent, method):
 def _opaque_chain(support, handler, number):
     """Collapse an opaque layer's entry tower into a direct method call.
 
-    Returns a chain callable, or ``None`` when the layer's machinery is
-    not provably stock.  Serves both as the chain of an opaque *top*
-    layer and as the terminal of a collapsed transparent prefix, so
-    even chains that end in real agent code shed the per-call layer
-    walk.  An argument count the fill cannot replay bails to the
-    original handler, keeping the tower's ``TypeError`` byte-identical.
+    Returns a ``(chain, staged)`` pair (see :func:`_chains`), or
+    ``None`` when the layer's machinery is not provably stock.  Serves
+    both as the chain of an opaque *top* layer and as the terminal of a
+    collapsed transparent prefix, so even chains that end in real agent
+    code shed the per-call layer walk.  An argument count the fill
+    cannot replay bails to the original handler, keeping the tower's
+    ``TypeError`` byte-identical.
     """
     plan = support.peel_entry_method(handler, number)
     if plan is None:
         return None
     agent, method, fill = plan
-    return _make_chain(number, [fill], True,
-                       _method_terminal(agent, method),
-                       _call(handler, number))
+    terminal = _method_terminal(agent, method)
+    return _chains(number, [fill], True, (terminal, terminal),
+                   _call(handler, number), [agent])
 
 
 def _make_chain(number, fills, normalize, terminal, fallback):
@@ -257,9 +254,68 @@ def _make_chain(number, fills, normalize, terminal, fallback):
     return chain
 
 
+def _stage(chain, number, fills, fallback, agents):
+    """*chain* with the obs accounting of the layers it collapses.
+
+    The tower's entry to each collapsed agent records
+    ``("agent.call", layer, name)`` and the ``layer.usec`` histograms
+    around the agent's handler
+    (:meth:`~repro.obs.core.Observability.layer_usec`).  The stage
+    times the chain once and gives that inclusive host time to every
+    collapsed layer, innermost first, as the tower's unwinding does.
+    An argument count the fills cannot replay takes *fallback*
+    unrecorded: the original route records its layers itself.
+    """
+    # innermost first: the tower's entries record as they unwind
+    counters, observed = layer_keys(
+        [agent.OBS_LAYER for agent in reversed(agents)], name_of(number))
+    fills = tuple(fills)
+
+    def staged(ctx, args):
+        obs = ctx.kernel.obs
+        if obs is None or not obs.metrics_on:
+            return chain(ctx, args)
+        count = len(args)
+        for required, nparams, _ in fills:
+            if count < required or count > nparams:
+                return fallback(ctx, args)
+            if count < nparams:
+                count = nparams
+        start = perf_counter()
+        try:
+            return chain(ctx, args)
+        finally:
+            obs.metrics.update(counters, observed,
+                               (perf_counter() - start) * 1e6)
+
+    return staged
+
+
+def _chains(number, fills, normalize, terminals, fallback, agents):
+    """The ``(chain, staged)`` pair of one collapse.
+
+    *terminals* is the terminal's own pair; *agents* the layers this
+    collapse skips, outermost first.  ``chain`` is the plain closure
+    an unobserved row runs, with no frame added for obs; ``staged``
+    runs the same route with the staged terminal and, when anything
+    was collapsed, the :func:`_stage` accounting around it.
+    """
+    terminal, staged_terminal = terminals
+    chain = _make_chain(number, fills, normalize, terminal, fallback)
+    if staged_terminal is terminal:
+        staged = chain
+    else:
+        staged = _make_chain(number, fills, normalize, staged_terminal,
+                             fallback)
+    if agents:
+        staged = _stage(staged, number, fills, fallback, agents)
+    return chain, staged
+
+
 def _flatten(handler, number, fallback):
     """Collapse the handler chain from *handler* (``None``: the kernel)
-    into one closure, or ``None`` when the chain offers nothing to skip.
+    into a ``(chain, staged)`` pair (see :func:`_chains`), or ``None``
+    when the chain offers nothing to skip.
 
     Walks the transparent prefix of toolkit layers down each agent's
     ``_down`` map and terminates at the kernel or at the first opaque
@@ -280,24 +336,28 @@ def _flatten(handler, number, fallback):
         cursor = plan.agent._down.get(number)
     if cursor is None:
         terminal = _kernel_terminal(number)
+        terminals = None if terminal is None else (terminal, terminal)
     else:
-        terminal = _opaque_chain(support, cursor, number)
-        if terminal is None and plans:
+        terminals = _opaque_chain(support, cursor, number)
+        if terminals is None and plans:
             terminal = _call(cursor, number)
-    if terminal is None:
+            terminals = (terminal, terminal)
+    if terminals is None:
         return None
     fills = [plan.fill for plan in plans if plan.fill is not None]
     normalize = any(plan.normalize for plan in plans)
-    return _make_chain(number, fills, normalize, terminal, fallback)
+    return _chains(number, fills, normalize, terminals, fallback,
+                   [plan.agent for plan in plans])
 
 
 def _entry_row(table, number, handler):
     """The row of an interposed number: its compiled chain, or ``None``."""
     from repro.kernel.trap import tower
 
-    chain = _flatten(handler, number, _call(handler, number))
-    if chain is None:
+    chains = _flatten(handler, number, _call(handler, number))
+    if chains is None:
         return None
+    chain, staged = chains
     epoch = DOWN_EPOCH[0]
 
     def row(ctx, args):
@@ -306,7 +366,9 @@ def _entry_row(table, number, handler):
             table.pop(number, None)  # stale: the next miss rebuilds it
         elif kernel.guard is None and kernel.profiler is None:
             kernel.trap_compiled_total += 1
-            return chain(ctx, args)
+            if kernel.obs is None:
+                return chain(ctx, args)
+            return staged(ctx, args)
         return tower(ctx, number, args)
 
     return row
@@ -314,28 +376,25 @@ def _entry_row(table, number, handler):
 
 def _down_row(table, number):
     """An agent's downcall row: the flattened sub-tower, or ``None``."""
-    kernel = table.agent.ctx.kernel
-    if (not kernel.fastpaths.trap_fast or kernel.recorder is not None
-            or kernel.obs is not None):
-        # A recorded or observed kernel never takes a chain (both are
-        # set at boot): keep its downcalls plain rather than build rows
-        # that would only stand down.
+    if not table.agent.ctx.kernel.fastpaths.trap_fast:
         return None
     below = table.vector.get(number)
     fallback = _call(below, number)
-    chain = _flatten(below, number, fallback)
-    if chain is None:
+    chains = _flatten(below, number, fallback)
+    if chains is None:
         return None
+    chain, staged = chains
     epoch = DOWN_EPOCH[0]
 
     def row(ctx, args):
         kernel = ctx.kernel
         if DOWN_EPOCH[0] != epoch:
             table.pop(number, None)  # stale: the next miss rebuilds it
-        elif (kernel.recorder is None and kernel.obs is None
-                and kernel.profiler is None):
+        elif kernel.profiler is None:
             kernel.down_compiled_total += 1
-            return chain(ctx, tuple(args))
+            if kernel.obs is None:
+                return chain(ctx, tuple(args))
+            return staged(ctx, tuple(args))
         return fallback(ctx, args)
 
     return row

@@ -9,7 +9,9 @@ mechanism the paper builds on:
   the kernel — that is ``task_set_emulation`` redirection.
 * :func:`htg_unix_syscall` is the downcall: it executes the kernel
   implementation even for redirected numbers, paying a small extra cost
-  (paper Table 3-4 measures 37 µs for it on a 25 MHz i486).
+  (paper Table 3-4 measures 37 µs for it on a 25 MHz i486).  Its one
+  body per number (:func:`htg_row`) is also the kernel terminal of
+  every compiled chain.
 * Pending signals are delivered at trap boundaries.  If the process has
   a signal redirection installed, the agent's handler gets the *upcall*
   before any application handler — the paper's completeness goal.
@@ -31,8 +33,8 @@ path) or the observability counters ``("trap", name)`` /
 looks its number up in ``proc.dispatch``, the table of the process's
 emulation vector (see :class:`repro.kernel.compile.DispatchTable`): one
 row per number, built on first use and shared by every process with
-that vector.  Observed and stood-down traps take the layer
-:func:`tower`, the reference every row must match.
+that vector.  Observed traps take the same row; stood-down rows take
+the layer :func:`tower`, the reference every row must match.
 
 **Record/replay.**  The recorder wraps the one body of each path it
 serializes — the trap (a ``T`` turn), the downcall (``H``) and
@@ -43,9 +45,11 @@ takes the same dispatch row as an unrecorded one.
 **Observability.** When ``kernel.obs`` is set (see :mod:`repro.obs`),
 the trap path records per-call counters, virtual-clock latency
 histograms, and — for traced processes — ``trap.agent`` /
-``trap.kernel`` / ``trap.ret`` events.  Disabled, the entire hook is
-one ``is None`` test, preserving the pay-per-use property this module
-exists to demonstrate.
+``trap.kernel`` / ``trap.ret`` events around the dispatch row, and the
+downcall body its ``htg`` counter and event; observing never changes
+the route.  Disabled, the entire hook is one ``is None`` test,
+preserving the pay-per-use property this module exists to
+demonstrate.
 """
 
 from repro.kernel import signals as sig
@@ -139,30 +143,76 @@ def htg_unix_syscall(kernel, proc, number, args):
     call proper is performed.  Modelling the bypass as a real kernel
     crossing keeps the overhead measurable, as in Table 3-4 — and is why
     ``ru_nsyscalls`` legitimately counts a forwarded call twice (see the
-    module docstring).
+    module docstring).  The body is *number*'s :data:`HTG_ROWS` row.
     """
-    rec = kernel.recorder
-    if rec is not None:
-        # Almost always nested under the calling trap's turn (an agent's
-        # downcall), where begin() just bumps the depth and logs
-        # nothing; a genuinely top-level htg records its own H turn.
-        rec.begin(proc, "H", sysent.name_of(number))
-    try:
-        proc.rusage.ru_nsyscalls += 1
-        with kernel._sleepq:
-            if number in proc.emulation_vector:
-                proc.rusage.ru_stime_usec += 1
-        obs = kernel.obs
-        if obs is not None:
-            name = sysent.name_of(number)
-            if obs.metrics_on:
-                obs.metrics.inc(("htg", name))
-            if obs.wants(proc):
-                obs.emit(ev.HTG, proc, name, _brief(args))
-        return kernel.do_syscall(proc, number, args)
-    finally:
+    return HTG_ROWS[number](UserContext(kernel, proc), args)
+
+
+def htg_row(number):
+    """The downcall's one body for *number*, as a ``row(ctx, args)``.
+
+    Shared by :meth:`UserContext.htg` and the kernel terminal of every
+    compiled chain (:mod:`repro.kernel.compile`), with the
+    implementation resolved once: the recorder's ``H`` turn, the
+    crossing charge and the interposed-number system-time tax, the
+    ``("htg", name)`` counter and ``htg.downcall`` event, then
+    :func:`kernel_entry`.  The charges are made outside the kernel
+    lock, like the trap's own: only the process's own thread writes its
+    rusage.  An unimplemented number enters through ``do_syscall``,
+    which raises its ``ENOSYS``.
+    """
+    # Imported here: the syscall modules import the process module,
+    # which imports the compiler, which imports this one.
+    from repro.kernel.syscalls import DISPATCH
+
+    entry = sysent.SYSCALLS.get(number)
+    impl = DISPATCH.get(number) if entry is not None else None
+    name = sysent.name_of(number)
+
+    def row(ctx, args):
+        kernel = ctx.kernel
+        proc = ctx.proc
+        rec = kernel.recorder
         if rec is not None:
-            rec.end()
+            # Almost always nested under the calling trap's turn (an
+            # agent's downcall), where begin() just bumps the depth and
+            # logs nothing; a genuinely top-level htg records its own H
+            # turn.
+            rec.begin(proc, "H", name)
+        try:
+            rusage = proc.rusage
+            rusage.ru_nsyscalls += 1
+            if number in proc.emulation_vector:
+                rusage.ru_stime_usec += 1
+            obs = kernel.obs
+            if obs is not None:
+                if obs.metrics_on:
+                    obs.metrics.inc(("htg", name))
+                if obs.wants(proc):
+                    obs.emit(ev.HTG, proc, name, _brief(args))
+            if impl is None:
+                return kernel.do_syscall(proc, number, args)
+            return kernel_entry(kernel, proc, impl, entry, args)
+        finally:
+            if rec is not None:
+                rec.end()
+
+    return row
+
+
+class _HtgRows(dict):
+    """number → :func:`htg_row`, built on the number's first downcall."""
+
+    __slots__ = ()
+
+    def __missing__(self, number):
+        # Unlocked, like DispatchTable: a racing build is equivalent.
+        row = self[number] = htg_row(number)
+        return row
+
+
+#: every number's downcall body, shared machine-wide (rows bind nothing)
+HTG_ROWS = _HtgRows()
 
 
 class UserContext:
@@ -224,32 +274,31 @@ class UserContext:
                 rec.end()
 
     def _trap_observed(self, obs, number, args):
-        """The :func:`tower` with observability enabled.
+        """The dispatch row with observability enabled.
 
         Records counters, the virtual-clock latency histogram, and —
         when the process is traced or the bus has subscribers —
-        enter/return events around the tower.  :meth:`trap` delivers
-        signals after the return event, as on every route.
+        enter/return events around the same row an unobserved trap
+        takes.  :meth:`trap` delivers signals after the return event,
+        as on every route.
         """
         proc = self.proc
         kernel = self.kernel
         name = sysent.name_of(number)
-        handler = proc.emulation_vector.get(number)
+        interposed = number in proc.emulation_vector
         metrics = obs.metrics if obs.metrics_on else None
         if metrics is not None:
-            metrics.inc(("trap", name))
-            if handler is not None:
-                metrics.inc(("trap.agent", name))
-            else:
-                metrics.inc(("trap.kernel", name))
-            metrics.inc(("trap.pid", proc.pid, name))
+            metrics.update((("trap", name),
+                            ("trap.agent" if interposed else "trap.kernel",
+                             name),
+                            ("trap.pid", proc.pid, name)))
         wants = obs.wants(proc)
         if wants:
-            obs.emit(ev.TRAP_AGENT if handler is not None else ev.TRAP_KERNEL,
+            obs.emit(ev.TRAP_AGENT if interposed else ev.TRAP_KERNEL,
                      proc, name, _brief(args))
         start = kernel.clock.usec()
         try:
-            result = tower(self, number, args)
+            result = proc.dispatch[number](self, args)
         except SyscallError as err:
             elapsed = kernel.clock.usec() - start
             errname = errno_name(err.errno)
@@ -276,7 +325,7 @@ class UserContext:
 
     def htg(self, number, *args):
         """``htg_unix_syscall``: agents' downcall past their own redirection."""
-        return htg_unix_syscall(self.kernel, self.proc, number, args)
+        return HTG_ROWS[number](self, args)
 
     def consume_cpu(self, usec):
         """Charge user-mode CPU time (advances the virtual clock)."""

@@ -20,7 +20,7 @@ import itertools
 
 from repro.kernel.ktrace import KtraceBuffer
 from repro.obs.events import Event, EventBus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, layer_keys
 from repro.obs.spans import SpanAssembler
 
 
@@ -40,6 +40,8 @@ class Observability:
         #: the causal span assembler, or None when span tracing is off
         self.spans = SpanAssembler() if spans else None
         self._seq = itertools.count(1)
+        #: (layer, name) -> its layer_keys, for layer_usec
+        self._layer_keys = {}
 
     # -- emission (called from the instrumented kernel paths) ------------
 
@@ -102,10 +104,10 @@ class Observability:
         """
         if not self.metrics_on:
             return
-        metrics = self.metrics
-        metrics.observe(("layer.usec", layer), usec)
-        metrics.observe(("layer.usec", layer, name), usec)
-        metrics.inc(("agent.call", layer, name))
+        keys = self._layer_keys.get((layer, name))
+        if keys is None:
+            keys = self._layer_keys[(layer, name)] = layer_keys((layer,), name)
+        self.metrics.update(keys[0], keys[1], usec)
 
     # -- convenience reads ----------------------------------------------
 

@@ -13,10 +13,30 @@ Well-known keys emitted by the kernel instrumentation are documented in
 """
 
 import threading
+from bisect import bisect_left
 
 #: histogram bucket upper bounds in microseconds (powers of two); one
 #: overflow bucket is kept beyond the last bound
 BUCKET_BOUNDS = tuple(2 ** i for i in range(21))
+
+
+def layer_keys(layers, name):
+    """The metric keys that attribute one call *name* to each of *layers*.
+
+    Returns ``(counters, observed)`` for :meth:`MetricsRegistry.update`:
+    the ``("agent.call", layer, name)`` counters and the
+    ``("layer.usec", layer)`` / ``("layer.usec", layer, name)``
+    histograms, in the order of *layers*.  A compiled chain resolves
+    them once for the layers it collapses (see
+    :mod:`repro.kernel.compile`), and
+    :meth:`~repro.obs.core.Observability.layer_usec` caches them per
+    layer and call.
+    """
+    counters = tuple(("agent.call", layer, name) for layer in layers)
+    observed = tuple(key for layer in layers
+                     for key in (("layer.usec", layer),
+                                 ("layer.usec", layer, name)))
+    return counters, observed
 
 
 class Histogram:
@@ -33,12 +53,8 @@ class Histogram:
 
     def observe(self, usec):
         """Record one observation of *usec* microseconds."""
-        index = 0
-        for bound in BUCKET_BOUNDS:
-            if usec <= bound:
-                break
-            index += 1
-        self.counts[index] += 1
+        # The first bound >= usec; past the last bound, the overflow.
+        self.counts[bisect_left(BUCKET_BOUNDS, usec)] += 1
         self.count += 1
         self.total += usec
         if self.min is None or usec < self.min:
@@ -108,6 +124,24 @@ class MetricsRegistry:
             if hist is None:
                 hist = self.histograms[key] = Histogram()
             hist.observe(usec)
+
+    def update(self, counters=(), observed=(), usec=0):
+        """Add one to each counter key in *counters* and record *usec* in
+        each histogram key in *observed*, taking the lock once.
+
+        The per-call batch of the instrumented paths: a trap's three
+        counters, or every layer a compiled chain collapses.
+        """
+        with self._lock:
+            counts = self.counters
+            for key in counters:
+                counts[key] = counts.get(key, 0) + 1
+            histograms = self.histograms
+            for key in observed:
+                hist = histograms.get(key)
+                if hist is None:
+                    hist = histograms[key] = Histogram()
+                hist.observe(usec)
 
     # -- reads -----------------------------------------------------------
 

@@ -64,6 +64,10 @@ class RunResult:
         #: the filtered event stream (tuples, recorder meta events out)
         self.events = events
         self.meta = meta
+        #: traps that took a compiled entry chain, and downcalls that
+        #: took a compiled downcall chain (the route counters)
+        self.compiled = 0
+        self.down = 0
 
     @property
     def decisions(self):
@@ -79,15 +83,20 @@ class RunResult:
 def _drive(recorder, meta, timeout):
     """Run the scenario named by *meta* with *recorder* installed."""
     events = []
+    kernels = []
 
     def on_boot(kernel):
+        kernels.append(kernel)
         kernel.obs.bus.subscribe(lambda e: events.append(e.to_tuple()))
         recorder.attach(kernel)
 
     report = run_scenario(timeout=timeout, obs="metrics",
                           on_boot=on_boot, **scenario_kwargs(meta))
     filtered = [t for t in events if t[4] not in META_EVENT_KINDS]
-    return RunResult(report, recorder, filtered, dict(meta))
+    result = RunResult(report, recorder, filtered, dict(meta))
+    result.compiled = kernels[0].trap_compiled_total
+    result.down = kernels[0].down_compiled_total
+    return result
 
 
 def record_run(seed, policy="fail-open", mechanism="wrapper",

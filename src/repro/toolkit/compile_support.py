@@ -33,8 +33,6 @@ identify is opaque, and opaque is always correct: the compiler simply
 keeps calling the original handler there.
 """
 
-import inspect
-
 from repro.kernel.sysent import SYSCALLS
 from repro.toolkit.boilerplate import Agent
 from repro.toolkit.descriptors import (
@@ -92,39 +90,37 @@ class LayerPlan:
 #: function -> fill spec; signatures are immutable, so memoize globally
 _FILL_CACHE = {}
 
+#: code flags of a ``*args`` or ``**kwargs`` parameter
+_VARIADIC = 0x04 | 0x08
+
 
 def fill_for(func):
     """The ``(required, nparams, defaults)`` spec of a ``sys_*`` body.
 
     Returns ``None`` for signatures the replay cannot model (keyword-
-    only, varargs, defaults before positionals) — the caller treats
-    that as opaque.  ``self`` is dropped; every remaining parameter must
-    be plain positional-or-keyword, with defaults only at the tail.
+    only, varargs, positional-only beyond ``self``, or a function whose
+    signature is not its code's: a ``__wrapped__`` or ``__signature__``
+    override) — the caller treats that as opaque.  ``self`` is dropped;
+    every remaining parameter is plain positional-or-keyword, with
+    defaults only at the tail.  Read from the code object, which spares
+    the process :mod:`inspect` and everything it imports.
     """
     try:
         return _FILL_CACHE[func]
     except KeyError:
         pass
-    try:
-        sig = inspect.signature(func)
-    except (TypeError, ValueError):
-        _FILL_CACHE[func] = None
-        return None
-    params = list(sig.parameters.values())[1:]
-    defaults = []
-    required = 0
+    code = getattr(func, "__code__", None)
     spec = None
-    for param in params:
-        if param.kind is not inspect.Parameter.POSITIONAL_OR_KEYWORD:
-            break
-        if param.default is inspect.Parameter.empty:
-            if defaults:
-                break
-            required += 1
-        else:
-            defaults.append(param.default)
-    else:
-        spec = (required, required + len(defaults), tuple(defaults))
+    if (code is not None and code.co_argcount >= 1
+            and not code.co_flags & _VARIADIC
+            and not code.co_kwonlyargcount and code.co_posonlyargcount <= 1
+            and not hasattr(func, "__wrapped__")
+            and not hasattr(func, "__signature__")):
+        nparams = code.co_argcount - 1
+        defaults = func.__defaults__ or ()
+        # only the parameters after self (a defaulted self is dropped)
+        defaults = defaults[max(0, len(defaults) - nparams):]
+        spec = (nparams - len(defaults), nparams, defaults)
     _FILL_CACHE[func] = spec
     return spec
 

@@ -1,9 +1,9 @@
 """Tests for compiled agent-stack dispatch (repro.kernel.compile).
 
 A compiled chain may only fire when it is observably identical to the
-layer tower it replaces: no obs, no guard, no profiler, and no
-staleness (vector or ``_down`` change since the build); a downcall
-chain also not under the recorder.  These tests pin the table's life
+layer tower it replaces: no guard (entry chains), no profiler, and no
+staleness (vector or ``_down`` change since the build).  Obs and the
+recorder never change the route.  These tests pin the table's life
 cycle, every stand-down condition, exact behavioural parity (errnos,
 EINVAL wording, signal delivery, machine crashes), the vectored
 ``readv``/``writev`` downcalls, and — via a hypothesis lockstep
@@ -162,16 +162,28 @@ def test_down_epoch_retires_stale_chains():
 # -- stand-down matrix -----------------------------------------------------
 
 
-def test_obs_stands_down():
+def test_observed_trap_takes_the_chain():
+    """Observing never changes the route: an observed interposed trap
+    and its downcalls take their compiled rows, and obs still counts
+    the trap, the downcall and the collapsed layer."""
     from repro import obs
 
     k = Kernel()
     obs.enable(k)
-    ctx, _ = _attached(k)
+    ctx, agent = _attached(k)
+    before = k.trap_compiled_total
     ctx.trap(NR["getpid"])
-    assert k.trap_compiled_total == 0
-    assert k.down_compiled_total == 0
-    assert k.obs.metrics.counter(("trap", "getpid")) >= 1
+    assert k.trap_compiled_total == before + 1
+    metrics = k.obs.metrics
+    assert metrics.counter(("trap", "getpid")) == 1
+    assert metrics.counter(("trap.agent", "getpid")) == 1
+    assert metrics.counter(("htg", "getpid")) == 1
+    assert metrics.counter(("agent.call", agent.OBS_LAYER, "getpid")) == 1
+    assert metrics.histogram(("layer.usec", agent.OBS_LAYER)).count >= 1
+    before = k.down_compiled_total
+    agent.syscall_down("getpid")
+    assert k.down_compiled_total == before + 1
+    assert metrics.counter(("htg", "getpid")) == 2
 
 
 def test_ktrace_flag_keeps_the_chain():
@@ -280,6 +292,35 @@ def test_over_arity_crash_parity():
     tower = _interposed_outcome(TOWER, "getpid", 1, 2, 3, 4, 5)
     assert compiled == tower
     assert compiled[0] == "crash"
+
+
+def _observed_accounting(fastpaths):
+    """Counters and histogram counts after a mix of calls through two
+    stacked agents with obs on, including errors and an over-arity
+    call."""
+    k = Kernel(obs="metrics") if fastpaths is None else \
+        Kernel(obs="metrics", fastpaths=fastpaths)
+    ctx, _ = _attached(k, PathSymbolicSyscall)
+    SymbolicSyscall().attach(ctx, [])
+    calls = [("getpid",), ("mkdir", "/made"), ("stat", "/made"),
+             ("stat", "/missing"), ("close", 99), ("getpid", 1, 2, 3, 4, 5)]
+    for name, *args in calls:
+        try:
+            ctx.trap(NR[name], *args)
+        except (SyscallError, TypeError):
+            pass
+    return _obs_facts(k), k.trap_compiled_total
+
+
+def test_observed_accounting_parity():
+    """A staged chain records each collapsed layer's agent.call and
+    layer.usec exactly as the tower's entries do, on errors too, and
+    nothing of its own when an argument count sends it to the tower."""
+    facts, compiled = _observed_accounting(None)
+    tower_facts, _ = _observed_accounting(TOWER)
+    assert compiled > 0
+    assert facts == tower_facts
+    assert facts[0]["agent.call|symbolic|getpid"] == 2
 
 
 def test_kernel_einval_is_errno_only_both_ways():
@@ -553,10 +594,62 @@ def test_tower_recording_replays_on_rows(stack):
         assert kernel.trap_compiled_total > 0
 
 
+def _observed_make(stack, recorder, **boot):
+    """Run make under *stack* with obs metrics, a bus subscriber and
+    *recorder* attached; returns the kernel, the wait status and the
+    event stream."""
+    events = []
+
+    def prepare(kernel):
+        recorder.attach(kernel)
+        kernel.obs.bus.subscribe(lambda event: events.append(event.to_tuple()))
+
+    kernel, status = run_workload("make", stack, prepare, obs="metrics",
+                                  **boot)
+    return kernel, status, events
+
+
+def _obs_facts(kernel):
+    """Every counter, every histogram's count and the trap.vusec totals."""
+    snap = kernel.obs.metrics.snapshot()
+    histograms = snap["histograms"]
+    return (snap["counters"],
+            {key: hist["count"] for key, hist in histograms.items()},
+            {key: hist["sum"] for key, hist in histograms.items()
+             if key.startswith("trap.vusec|")})
+
+
+@pytest.mark.parametrize("stack", ["timex", "union", "deep"])
+def test_observed_tower_recording_replays_on_rows(stack):
+    """The obs axis of test_tower_recording_replays_on_rows: make
+    recorded on the tower with obs on replays on the default config
+    with obs on, and observing does not change the route — the rows
+    and chains make the tower's decisions and produce its event stream,
+    counters, histogram counts and virtual-time totals."""
+    recorder = Recorder(mode=RECORD)
+    kernel, status, events = _observed_make(stack, recorder,
+                                            fastpaths=TOWER)
+    assert WEXITSTATUS(status) == 0
+    assert kernel.trap_compiled_total == kernel.down_compiled_total == 0
+    facts = _obs_facts(kernel)
+
+    replayer = Recorder(mode=REPLAY, log=recorder.decisions)
+    kernel, replayed_status, replayed_events = _observed_make(stack,
+                                                              replayer)
+    replayer.raise_divergence()
+    assert replayer.position == len(recorder.decisions)
+    assert replayed_status == status
+    assert replayed_events == events
+    assert _obs_facts(kernel) == facts
+    assert kernel.down_compiled_total > 0
+    if stack != "deep":
+        assert kernel.trap_compiled_total > 0
+
+
 def test_obs_streams_identical_compiled_on_off():
-    """With tracing live every trap takes the tower, so the
-    event streams of compiled-on and compiled-off kernels match tuple
-    for tuple."""
+    """With tracing live, traps take the rows and chains, and the event
+    streams of compiled-on and compiled-off kernels match tuple for
+    tuple."""
     streams = []
     for flags in (None, TOWER):
         kernel = Kernel(obs="metrics,trace") if flags is None else \

@@ -154,19 +154,25 @@ def test_ktrace_flag_keeps_the_kernel_row():
     assert run(k, main) == 0
 
 
-def test_obs_bypasses_fast_path():
+def test_observed_trap_takes_the_fast_row():
+    """An observed uninterposed trap takes the kernel row, and obs still
+    counts it."""
     from repro import obs
 
     k = Kernel()
     obs.enable(k)
+    counts = []
 
     def main(ctx):
+        before = k.trap_fast_total
         ctx.trap(NR_GETPID)
+        counts.append(k.trap_fast_total - before)
         return 0
 
     assert run(k, main) == 0
-    assert k.trap_fast_total == 0
-    assert k.obs.metrics.counter(("trap", "getpid")) >= 1
+    assert counts == [1]
+    assert k.obs.metrics.counter(("trap", "getpid")) == 1
+    assert k.obs.metrics.counter(("trap.kernel", "getpid")) == 1
 
 
 def test_einval_message_parity():

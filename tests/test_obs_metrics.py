@@ -1,5 +1,8 @@
 """Tests for the observability metrics registry and histograms."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.obs.metrics import BUCKET_BOUNDS, Histogram, MetricsRegistry
 
 
@@ -100,3 +103,50 @@ def test_registry_clear():
 def test_bucket_bounds_shape():
     assert BUCKET_BOUNDS[0] == 1
     assert all(b == 2 * a for a, b in zip(BUCKET_BOUNDS, BUCKET_BOUNDS[1:]))
+
+
+def _linear_bucket(usec):
+    """The bucket index by a scan of the bounds: the first bound at or
+    above *usec*, else the overflow bucket."""
+    index = 0
+    for bound in BUCKET_BOUNDS:
+        if usec <= bound:
+            break
+        index += 1
+    return index
+
+
+def _bucket_of(usec):
+    hist = Histogram()
+    hist.observe(usec)
+    return hist.counts.index(1)
+
+
+_EDGES = [0, 0.5] + [edge for bound in BUCKET_BOUNDS
+                     for edge in (bound - 1, bound - 0.001, bound,
+                                  bound + 0.001, bound + 1)]
+
+
+@given(st.one_of(
+    st.sampled_from(_EDGES),
+    st.integers(min_value=0, max_value=2 ** 40),
+    st.floats(min_value=0, max_value=2.0 ** 40, allow_nan=False),
+    st.floats(min_value=2.0 ** 20, allow_nan=False, allow_infinity=True)))
+def test_bucket_index_matches_linear_scan(usec):
+    assert _bucket_of(usec) == _linear_bucket(usec)
+
+
+def test_bucket_edges_match_linear_scan():
+    for usec in _EDGES:
+        assert _bucket_of(usec) == _linear_bucket(usec), usec
+
+
+def test_registry_update_batches_counters_and_histograms():
+    reg = MetricsRegistry()
+    reg.update((("a",), ("b", "x")), (("h",), ("h", "x")), 3)
+    reg.update((("a",),), (("h",),), 5)
+    assert reg.counter(("a",)) == 2
+    assert reg.counter(("b", "x")) == 1
+    assert reg.histogram(("h",)).count == 2
+    assert reg.histogram(("h",)).total == 8
+    assert reg.histogram(("h", "x")).count == 1

@@ -156,6 +156,18 @@ def test_replay_is_bit_identical(case):
     assert replayed.recorder.position == len(recorded.decisions)
 
 
+def test_observed_chaos_replay_takes_compiled_downcalls():
+    """Record and replay run with obs on, and observing no longer stands
+    the downcall chains down: the replay of a recorded wrapper/files
+    scenario takes compiled downcalls, as its recording did."""
+    recorded, replayed = verify_roundtrip(
+        seed=0, policy="fail-open", mechanism="wrapper", workload="files")
+    assert compare_runs(recorded, replayed) == []
+    assert replayed.recorder.position == len(recorded.decisions)
+    assert replayed.down > 0
+    assert replayed.down == recorded.down
+
+
 def test_format_workload_replays_bit_identical():
     recorded, replayed = verify_roundtrip(
         seed=0, workload="format", agent_rate=0.0, site_rate=0.0)
