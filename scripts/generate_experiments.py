@@ -108,8 +108,18 @@ def table_3_3(out, seconds=25):
     from matrix import STACKS, WORKLOADS
 
     matrix = perfbench.Matrix(WORKLOADS["make"], 1)
-    matrix.warm_up(STACKS)
-    perfbench.rounds(matrix, STACKS, time.perf_counter() + seconds)
+    # Pinned to one CPU, as perfbench/run.py runs it: cross-CPU thread
+    # hand-offs roughly double make's run time and its spread.
+    pin = hasattr(os, "sched_setaffinity")
+    cpus = os.sched_getaffinity(0) if pin else None
+    if pin:
+        os.sched_setaffinity(0, {min(cpus)})
+    try:
+        matrix.warm_up(STACKS)
+        perfbench.rounds(matrix, STACKS, time.perf_counter() + seconds)
+    finally:
+        if pin:
+            os.sched_setaffinity(0, cpus)
     slow = perfbench.paired_slowdowns(matrix.runs, STACKS)
     labels = {"deep": "union+txn+monitor"}
     rows = []

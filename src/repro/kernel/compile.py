@@ -20,14 +20,21 @@ A :class:`DispatchTable` maps a syscall number to ``row(ctx, args)``;
   (the kernel through the downcall's own body,
   :func:`~repro.kernel.trap.htg_row`, or the first opaque handler
   below), then apply the numeric layer's errno/two-register
-  normalization once;
+  normalization once.  An opaque handler is entered by a direct call
+  of its ``sys_*`` method or, for an *around* layer — an agent that
+  overrides ``handle_syscall``, such as the trace agent or the
+  monitor — of that override;
 * the **tower** — anything else (:func:`~repro.kernel.trap.tower`).
 
 Every toolkit agent also keeps a table of its *downcalls*
-(``agent._down_compiled``, over its ``_down`` map).  Its rows flatten
-the sub-tower below the agent, so that even an opaque agent's forwards
-(the trace agent's log writes, say) skip it; a ``None`` row means the
-plain downcall.
+(``agent._down_compiled``, over its ``_down`` map), which
+:meth:`~repro.toolkit.boilerplate.Agent.syscall_down` enters in one
+frame.  Its rows flatten the sub-tower below the agent, so that even
+an opaque agent's forwards (the trace agent's log writes, say) skip
+it; a ``None`` row means the plain downcall.  And every symbolic agent
+keeps a :class:`DecodeTable` (``agent._decode``): the body of
+:meth:`~repro.toolkit.symbolic.SymbolicSyscall.handle_syscall`, the
+``super()`` an around layer calls, one row per number.
 
 **Observers as a stage.**  Each chain is built twice: the plain
 closure an unobserved row runs, and a *staged* twin the row runs
@@ -59,11 +66,14 @@ profiler's kernel tick, watches, the recorder's turn) sees only
 :func:`~repro.kernel.trap.kernel_entry` or wraps the trap itself.
 Chains skip agent layers, so entry chains stand down under the guard
 rail and the profiler, and downcall chains under the profiler, which
-see those layers.  Obs and the recorder never change the route.
+see those layers.  A decode row runs inside its agent's handler, where
+no observer looks, and never stands down.  Obs and the recorder never
+change the route.
 With the ``trap_fast`` flag off every process uses :data:`_TOWER`,
 whose rows are all the tower.
 """
 
+from functools import partial
 from time import perf_counter
 
 from repro.kernel.errno import SyscallError
@@ -208,6 +218,31 @@ def _opaque_chain(support, handler, number):
                    _call(handler, number), [agent])
 
 
+def _around_chain(support, handler, number):
+    """Enter an *around* layer's ``handle_syscall`` directly.
+
+    Returns a ``(chain, staged)`` pair (see :func:`_chains`), or
+    ``None`` when *handler* is not the stock boilerplate entry.  The
+    chain replays the entry's context bind and calls the agent's
+    ``handle_syscall`` — an override such as the trace agent's runs
+    verbatim, and its ``super()`` call takes the agent's decode row
+    (:class:`DecodeTable`) — skipping the tower and
+    ``_emulation_entry``; the staged twin records the layer's obs
+    accounting as the entry would.
+    """
+    agent = support.entry_agent(handler)
+    if agent is None:
+        return None
+    handle = agent.handle_syscall
+
+    def terminal(ctx, args):
+        agent._bind(ctx)
+        return handle(number, args)
+
+    return _chains(number, [], False, (terminal, terminal),
+                   _call(handler, number), [agent])
+
+
 def _make_chain(number, fills, normalize, terminal, fallback):
     """Compose fills → terminal → normalization into one closure.
 
@@ -319,7 +354,8 @@ def _flatten(handler, number, fallback):
 
     Walks the transparent prefix of toolkit layers down each agent's
     ``_down`` map and terminates at the kernel or at the first opaque
-    handler, entered by a direct method call where its machinery is
+    handler, entered by a direct call of its ``sys_*`` method or, for
+    an around layer, of its ``handle_syscall`` where its machinery is
     stock.
     """
     # Imported here: the toolkit imports the kernel modules that import
@@ -338,7 +374,8 @@ def _flatten(handler, number, fallback):
         terminal = _kernel_terminal(number)
         terminals = None if terminal is None else (terminal, terminal)
     else:
-        terminals = _opaque_chain(support, cursor, number)
+        terminals = (_opaque_chain(support, cursor, number)
+                     or _around_chain(support, cursor, number))
         if terminals is None and plans:
             terminal = _call(cursor, number)
             terminals = (terminal, terminal)
@@ -375,8 +412,17 @@ def _entry_row(table, number, handler):
 
 
 def _down_row(table, number):
-    """An agent's downcall row: the flattened sub-tower, or ``None``."""
-    if not table.agent.ctx.kernel.fastpaths.trap_fast:
+    """An agent's downcall row: the flattened sub-tower, or ``None``.
+
+    ``None`` also for an agent whose class overrides
+    ``syscall_down_numeric``: :meth:`~repro.toolkit.boilerplate.Agent.syscall_down`
+    enters a row directly, which would skip the override.
+    """
+    from repro.toolkit import compile_support as support
+
+    agent = table.agent
+    if (not agent.ctx.kernel.fastpaths.trap_fast
+            or not support.stock_downcalls(agent)):
         return None
     below = table.vector.get(number)
     fallback = _call(below, number)
@@ -398,6 +444,54 @@ def _down_row(table, number):
         return fallback(ctx, args)
 
     return row
+
+
+class DecodeTable(dict):
+    """A symbolic agent's decode rows: number → ``row(args)``, the body
+    of :meth:`~repro.toolkit.symbolic.SymbolicSyscall.handle_syscall`
+    (the ``super()`` an around layer calls), built on first use."""
+
+    __slots__ = ("agent",)
+
+    def __init__(self, agent):
+        super().__init__()
+        self.agent = agent
+
+    def __missing__(self, number):
+        row = self[number] = _decode_row(self.agent, number)
+        return row
+
+
+def _decode_row(agent, number):
+    """*agent*'s decode of *number*, as ``row(args)``.
+
+    With ``trap_fast`` on and the stock numeric layer, one chain
+    replays it: default-fill, the bound ``sys_*`` method, then the
+    errno/two-register normalization, without the numeric layer's
+    register vector.  Otherwise, and for a call with no ``sys_*`` body,
+    the row is the numeric layer's ``handle_syscall``.  The decode runs
+    inside the agent's own handler and no observer sees it, so the row
+    never stands down; nothing it bakes changes after the agent is
+    built, so it carries no epoch.
+    """
+    from repro.toolkit import compile_support as support
+
+    handle = agent._numeric.handle_syscall
+    found = (agent.ctx.kernel.fastpaths.trap_fast
+             and support.symbolic_method(agent, number))
+    if not found:
+        return partial(handle, number)
+    method, fill = found
+
+    def terminal(ctx, args):
+        return method(*args)
+
+    def fallback(ctx, args):
+        return handle(number, args)
+
+    # The chain's context goes unused: the caller bound the agent.
+    return partial(_make_chain(number, [fill], True, terminal, fallback),
+                   None)
 
 
 def build_compiled_dispatch(table, number):

@@ -10,6 +10,7 @@ descriptor table, and signal dispositions are left exactly as the caller
 arranged them.
 """
 
+from repro.kernel import signals as sig
 from repro.kernel.compile import dispatch_table
 from repro.kernel.errno import EINVAL, SyscallError
 from repro.kernel.proc import ExecImage
@@ -69,6 +70,22 @@ def sys_task_get_descriptors(kernel, proc):
     return [
         (fd, proc.fdtable.get_cloexec(fd))
         for fd in proc.fdtable.descriptors()
+    ]
+
+
+@implements("task_get_signals")
+def sys_task_get_signals(kernel, proc):
+    """List the process's non-default signal dispositions as
+    ``[(signum, handler)]``, in signal order.
+
+    The sibling of ``task_get_descriptors``: an agent reimplementing
+    ``execve`` resets only these signals, instead of probing every one
+    with ``sigvec``; the native ``execve`` resets them in one pass.
+    """
+    return [
+        (signum, action.handler)
+        for signum, action in proc.dispositions.items()
+        if action.handler != sig.SIG_DFL
     ]
 
 

@@ -133,6 +133,7 @@ _TABLE = [
     # ring buffer through a trap instead of a file.
     _entry(206, "ktrace_read", "limit:int"),
     _entry(207, "kernel_stats"),
+    _entry(208, "task_get_signals"),
 ]
 
 SYSCALLS = {entry.number: entry for entry in _TABLE}

@@ -16,7 +16,7 @@ from repro.kernel import signals as sig
 from repro.kernel.errno import EBADF, SyscallError
 from repro.kernel.ofile import F_GETFD, FD_CLOEXEC
 from repro.kernel.compile import DispatchTable, note_down_mutation
-from repro.kernel.sysent import name_of, number_of
+from repro.kernel.sysent import BY_NAME, name_of, number_of
 from repro.kernel.trap import deliver_signal_to_application
 
 _NR_TASK_SET_EMULATION = number_of("task_set_emulation")
@@ -24,6 +24,7 @@ _NR_TASK_GET_EMULATION = number_of("task_get_emulation")
 _NR_TASK_SET_SIGNAL_REDIRECT = number_of("task_set_signal_redirect")
 _NR_IMAGE_HEADER = number_of("image_header")
 _NR_TASK_GET_DESCRIPTORS = number_of("task_get_descriptors")
+_NR_TASK_GET_SIGNALS = number_of("task_get_signals")
 _NR_JUMP_TO_IMAGE = number_of("jump_to_image")
 _NR_FCNTL = number_of("fcntl")
 _NR_CLOSE = number_of("close")
@@ -170,7 +171,13 @@ class Agent:
         that agent's handler; otherwise it goes to the kernel via
         ``htg_unix_syscall`` (bypassing this agent's own interception).
         """
-        return self.syscall_down_numeric(number_of(name), args)
+        number = BY_NAME[name].number
+        flat = self._down_compiled[number]
+        if flat is not None:
+            # The flattened chain, entered in one frame; there is none
+            # for a class that overrides syscall_down_numeric.
+            return flat(self._tls.ctx, args)
+        return self.syscall_down_numeric(number, args)
 
     def syscall_down_numeric(self, number, args):
         """Downcall by raw number with an argument vector."""
@@ -179,11 +186,11 @@ class Agent:
             # A flattened chain for the stack below this agent; it
             # takes the plain route by itself under an observer or a
             # stale epoch (see repro.kernel.compile._down_row).
-            return flat(self.ctx, args)
+            return flat(self._tls.ctx, args)
         below = self._down.get(number)
         if below is not None:
-            return below(self.ctx, number, tuple(args))
-        return self.ctx.htg(number, *args)
+            return below(self._tls.ctx, number, tuple(args))
+        return self._tls.ctx.htg(number, *args)
 
     # -- sending signals up to the application --------------------------------------
 
@@ -231,9 +238,8 @@ class Agent:
             if cloexec:
                 self.exec_close_descriptor(fd)
         # 3. Reset caught handlers to the default; leave SIG_IGN alone.
-        for signum in range(1, sig.NSIG):
-            if signum in sig.UNCATCHABLE:
-                continue
+        # Only the signals whose disposition is not the default need it.
+        for signum, _ in ctx.htg(_NR_TASK_GET_SIGNALS):
             old = self.syscall_down_numeric(_NR_SIGVEC, (signum, sig.SIG_DFL, 0))
             if old == sig.SIG_IGN:
                 self.syscall_down_numeric(_NR_SIGVEC, (signum, sig.SIG_IGN, 0))

@@ -28,9 +28,24 @@ The grading ladder, from cheapest to deepest:
 
 ``fork``/``vfork``/``execve`` are *never* collapsed: their symbolic
 bodies wrap the child entry or re-exec the image — real agent
-machinery, not a forward.  Anything the analysis cannot positively
-identify is opaque, and opaque is always correct: the compiler simply
-keeps calling the original handler there.
+machinery, not a forward.
+
+An opaque layer — real agent code runs — is still entered as directly
+as its machinery allows:
+
+* **method** (:func:`peel_entry_method`) — stock entry, symbolic handle
+  and numeric layer around an overridden ``sys_*`` body: the compiler
+  binds the context and calls the bound method, replaying the fill and
+  the normalization itself;
+* **around** (:func:`entry_agent`) — stock entry around an overridden
+  ``handle_syscall`` (the trace agent, the monitor): the compiler binds
+  the context and calls ``handle_syscall``.  When that override calls
+  ``super()`` into :meth:`SymbolicSyscall.handle_syscall`, the decode
+  below it is itself a compiled row (:func:`symbolic_method`, built by
+  :class:`repro.kernel.compile.DecodeTable`).
+
+Anything else is opaque all the way, and opaque is always correct: the
+compiler simply keeps calling the original handler there.
 """
 
 from repro.kernel.sysent import SYSCALLS
@@ -125,6 +140,47 @@ def fill_for(func):
     return spec
 
 
+def entry_agent(handler):
+    """The agent whose stock boilerplate entry *handler* is, or ``None``.
+
+    Any such agent grades at least *around*: the entry only binds the
+    context and runs the observers' per-layer frames (the profiler's
+    agent frame, the obs ``layer.usec`` accounting) around the agent's
+    ``handle_syscall``, so the compiler may enter that directly.
+    """
+    if getattr(handler, "__func__", None) is not Agent._emulation_entry:
+        return None
+    return handler.__self__
+
+
+def _stock_numeric(agent):
+    """True when *agent* decodes calls through the stock numeric layer."""
+    numeric = getattr(agent, "_numeric", None)
+    return (type(numeric) is BSDNumericSyscall
+            and numeric.symbolic is agent
+            and numeric._down is agent._down)
+
+
+def symbolic_method(agent, number):
+    """Grade the numeric layer's decode of *number* for direct invocation.
+
+    With the stock :class:`BSDNumericSyscall` decoding into *agent*,
+    the decode of a call with a ``sys_*`` body is the bound method
+    called with default-filled arguments, and the numeric layer's
+    errno/two-register marshalling around it.  Returns
+    ``(method, fill)`` for the compiler to replay that, or ``None``.
+    """
+    if not _stock_numeric(agent):
+        return None
+    method = agent._numeric._methods.get(number)
+    if method is None:
+        return None
+    fill = fill_for(method.__func__)
+    if fill is None:
+        return None
+    return method, fill
+
+
 def peel_entry_method(handler, number):
     """Grade an *opaque-method* layer for direct invocation.
 
@@ -139,24 +195,22 @@ def peel_entry_method(handler, number):
     runs verbatim, so its downcalls go through the agent's own
     machinery exactly as the tower's would.
     """
-    if getattr(handler, "__func__", None) is not Agent._emulation_entry:
+    agent = entry_agent(handler)
+    if (agent is None
+            or type(agent).handle_syscall is not SymbolicSyscall.handle_syscall):
         return None
-    agent = handler.__self__
-    cls = type(agent)
-    if cls.handle_syscall is not SymbolicSyscall.handle_syscall:
+    found = symbolic_method(agent, number)
+    if found is None:
         return None
-    numeric = getattr(agent, "_numeric", None)
-    if (type(numeric) is not BSDNumericSyscall
-            or numeric.symbolic is not agent
-            or numeric._down is not agent._down):
-        return None
-    method = numeric._methods.get(number)
-    if method is None:
-        return None
-    fill = fill_for(method.__func__)
-    if fill is None:
-        return None
-    return (agent, method, fill)
+    return (agent,) + found
+
+
+def stock_downcalls(agent):
+    """True when *agent*'s downcalls go through the stock
+    :meth:`Agent.syscall_down_numeric`, so a flattened downcall row
+    may replace it (:meth:`Agent.syscall_down` enters the row
+    directly)."""
+    return type(agent).syscall_down_numeric is Agent.syscall_down_numeric
 
 
 def _routing_transparent(agent, route):
@@ -192,14 +246,13 @@ def peel(handler, number):
     Returns a :class:`LayerPlan` when the layer is provably transparent
     for this number, else ``None`` (opaque: real agent code runs).
     """
-    if getattr(handler, "__func__", None) is not Agent._emulation_entry:
+    agent = entry_agent(handler)
+    if agent is None:
         return None
-    agent = handler.__self__
     cls = type(agent)
     # Downcall routing must be the stock boilerplate, or the "forward"
     # this analysis assumes is not what actually happens.
-    if (cls.syscall_down_numeric is not Agent.syscall_down_numeric
-            or cls.syscall_down is not Agent.syscall_down):
+    if not stock_downcalls(agent) or cls.syscall_down is not Agent.syscall_down:
         return None
     handle = cls.handle_syscall
     if handle is Agent.handle_syscall:
@@ -209,14 +262,9 @@ def peel(handler, number):
                 or cls.syscall_down_raw is not NumericSyscall.syscall_down_raw):
             return None
         return LayerPlan(agent, None, True)
-    if handle is not SymbolicSyscall.handle_syscall:
+    if handle is not SymbolicSyscall.handle_syscall or not _stock_numeric(agent):
         return None
-    numeric = getattr(agent, "_numeric", None)
-    if (type(numeric) is not BSDNumericSyscall
-            or numeric.symbolic is not agent
-            or numeric._down is not agent._down):
-        return None
-    method = numeric._methods.get(number)
+    method = agent._numeric._methods.get(number)
     if method is None:
         # No sys_* body: the stock unknown_syscall is a raw forward.
         if cls.unknown_syscall is not SymbolicSyscall.unknown_syscall:

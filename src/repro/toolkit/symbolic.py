@@ -14,6 +14,7 @@ to change and inherits the rest (paper Goal 3: agent code proportional
 to new functionality).
 """
 
+from repro.kernel.compile import DecodeTable
 from repro.kernel.sysent import bsd_numbers
 from repro.toolkit.boilerplate import Agent
 from repro.toolkit.numeric import BSDNumericSyscall
@@ -35,6 +36,9 @@ class SymbolicSyscall(Agent):
         # per-process bindings and downward chaining as this agent.
         self._numeric._tls = self._tls
         self._numeric._down = self._down
+        #: the numeric layer's decode, one row per call number, compiled
+        #: on first use by repro.kernel.compile
+        self._decode = DecodeTable(self)
 
     # -- agent lifecycle --------------------------------------------------
 
@@ -53,7 +57,10 @@ class SymbolicSyscall(Agent):
     # -- boilerplate glue: route interception through the numeric layer ----
 
     def handle_syscall(self, number, args):
-        return self._numeric.handle_syscall(number, args)
+        # The numeric layer's handle_syscall for this number, or its
+        # compiled equivalent when the numeric layer is the stock one.
+        handle_syscall = self._decode[number]
+        return handle_syscall(args)
 
     def handle_signal(self, signum, action):
         self._numeric.handle_signal(signum, action)

@@ -9,6 +9,7 @@ from repro.kernel.proc import WEXITSTATUS
 from repro.kernel.sysent import number_of
 from repro.toolkit import run_under_agent
 from repro.toolkit.boilerplate import Agent
+from repro.toolkit.symbolic import SymbolicSyscall
 
 NR_GETPID = number_of("getpid")
 NR_GETTIMEOFDAY = number_of("gettimeofday")
@@ -16,6 +17,7 @@ NR_OPEN = number_of("open")
 NR_FCNTL = number_of("fcntl")
 NR_SIGVEC = number_of("sigvec")
 NR_KILL = number_of("kill")
+NR_TASK_GET_SIGNALS = number_of("task_get_signals")
 
 
 class CountingAgent(Agent):
@@ -172,6 +174,79 @@ def test_reexec_closes_cloexec_and_resets_handlers(world):
     assert state["term"] == sig.SIG_DFL
     assert state["usr1"] == sig.SIG_IGN
     assert state["vector_size"] == 1  # the agent survived
+
+
+class SigvecCounter(SymbolicSyscall):
+    """Counts the sigvec calls that reach it, passing them through."""
+
+    def __init__(self):
+        super().__init__()
+        self.sigvecs = 0
+
+    def sys_sigvec(self, signum, handler, mask=0):
+        self.sigvecs += 1
+        return super().sys_sigvec(signum, handler, mask)
+
+
+def test_reexec_resets_only_non_default_dispositions(world):
+    """The toolkit exec asks the kernel which dispositions are not
+    SIG_DFL and resets only those: one sigvec per caught handler, two
+    per ignored signal (reset, then ignored again), none for the rest —
+    with what an agent below sees, and what the new image finds, as
+    before."""
+    state = {}
+
+    def checker(ctx, argv, envp):
+        proc = ctx.proc
+        state["handlers"] = {signum: proc.dispositions[signum].handler
+                             for signum in (sig.SIGTERM, sig.SIGHUP,
+                                            sig.SIGUSR1, sig.SIGUSR2)}
+        state["pending"] = proc.pending
+        return 0
+
+    world.register_program("reexec-checker", checker)
+    world.install_binary("/bin/reexec-checker", "reexec-checker")
+    below = SigvecCounter()
+
+    def main(ctx):
+        below.attach(ctx)
+        agent = SymbolicSyscall()
+        agent.attach(ctx)
+        ctx.trap(NR_SIGVEC, sig.SIGTERM, lambda s: None, 0)
+        ctx.trap(NR_SIGVEC, sig.SIGHUP, lambda s: None, 0)
+        ctx.trap(NR_SIGVEC, sig.SIGUSR1, sig.SIG_IGN, 0)
+        ctx.trap(NR_SIGVEC, sig.SIGUSR2, sig.SIG_IGN, 0)
+        # An ignored signal stays pending until its disposition changes.
+        ctx.trap(NR_KILL, ctx.proc.pid, sig.SIGUSR2)
+        assert ctx.proc.pending & sig.sigmask(sig.SIGUSR2)
+        below.sigvecs = 0
+        agent.reexec("/bin/reexec-checker", ["reexec-checker"], {})
+
+    world.run_entry(main)
+    assert state["handlers"] == {sig.SIGTERM: sig.SIG_DFL,
+                                 sig.SIGHUP: sig.SIG_DFL,
+                                 sig.SIGUSR1: sig.SIG_IGN,
+                                 sig.SIGUSR2: sig.SIG_IGN}
+    assert not state["pending"] & sig.sigmask(sig.SIGUSR2)
+    assert below.sigvecs == 2 * 2 + 2
+
+
+def test_task_get_signals_lists_non_default_dispositions(world):
+    seen = {}
+
+    def main(ctx):
+        seen["fresh"] = ctx.trap(NR_TASK_GET_SIGNALS)
+        handler = lambda s: None  # noqa: E731
+        ctx.trap(NR_SIGVEC, sig.SIGUSR1, sig.SIG_IGN, 0)
+        ctx.trap(NR_SIGVEC, sig.SIGHUP, handler, 0)
+        seen["set"] = ctx.trap(NR_TASK_GET_SIGNALS)
+        seen["handler"] = handler
+        return 0
+
+    world.run_entry(main)
+    assert seen["fresh"] == []
+    assert seen["set"] == [(sig.SIGHUP, seen["handler"]),
+                           (sig.SIGUSR1, sig.SIG_IGN)]
 
 
 def test_run_under_agent_returns_client_status(world):

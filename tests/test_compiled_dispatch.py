@@ -4,13 +4,16 @@ A compiled chain may only fire when it is observably identical to the
 layer tower it replaces: no guard (entry chains), no profiler, and no
 staleness (vector or ``_down`` change since the build).  Obs and the
 recorder never change the route.  These tests pin the table's life
-cycle, every stand-down condition, exact behavioural parity (errnos,
-EINVAL wording, signal delivery, machine crashes), the vectored
-``readv``/``writev`` downcalls, and — via a hypothesis lockstep
-machine, DFSTrace of the benchmark's workloads, and record/replay
-across routes — that compiled-on and compiled-off worlds are
-indistinguishable.
+cycle, the around rows of agents that override ``handle_syscall`` and
+their decode rows, every stand-down condition, exact behavioural
+parity (errnos, EINVAL wording, signal delivery, machine crashes), the
+vectored ``readv``/``writev`` downcalls, and — via a hypothesis
+lockstep machine, DFSTrace, trace logs and monitor reports of the
+benchmark's workloads, and record/replay across routes — that
+compiled-on and compiled-off worlds are indistinguishable.
 """
+
+import re
 
 import pytest
 
@@ -31,7 +34,7 @@ from tests.matrix_support import matrix, run_workload
 NR = {n: number_of(n) for n in (
     "getpid", "open", "close", "read", "write", "readv", "writev",
     "unlink", "rename", "mkdir", "rmdir", "stat", "lseek",
-    "task_set_emulation", "sigvec", "kill", "exit",
+    "task_set_emulation", "sigvec", "kill", "exit", "pipe",
 )}
 
 #: every fast path except table dispatch — the tower baseline
@@ -73,16 +76,90 @@ def test_disabled_flag_uses_sentinel():
     assert k.down_compiled_total == 0
 
 
-def test_opaque_agent_entry_not_compiled_but_downcalls_are():
+def _trace_agent():
     from repro.agents.trace import TraceSymbolicSyscall
 
+    return TraceSymbolicSyscall("/tmp/t.trace")
+
+
+def _monitor_agent():
+    from repro.agents.monitor import MonitorAgent
+
+    return MonitorAgent("/tmp/m.out")
+
+
+@pytest.mark.parametrize("factory", [_trace_agent, _monitor_agent],
+                         ids=["trace", "monitor"])
+def test_around_agent_entry_traps_compile(factory):
+    """Trace and the monitor override handle_syscall: their entry rows
+    enter the override directly (the around grade), and their log
+    writes and forwards take flattened downcall chains."""
     k = Kernel()
-    ctx, _ = _attached(k, TraceSymbolicSyscall)
-    ctx.trap(NR["getpid"])
-    # The trace agent overrides handle_syscall — opaque at entry...
-    assert k.trap_compiled_total == 0
-    # ...but its log writes and forwards run through flattened chains.
+    ctx, agent = _attached(k, factory)
+    before = k.trap_compiled_total
+    pid = ctx.trap(NR["getpid"])
+    assert pid == ctx.proc.pid
+    assert ctx.trap(NR["getpid"]) == pid
+    assert k.trap_compiled_total == before + 2
     assert k.down_compiled_total > 0
+    # The override's super() took the compiled decode, not the numeric
+    # layer's register vector.
+    assert agent._decode[NR["getpid"]].func != agent._numeric.handle_syscall
+
+
+def test_around_row_stands_down_under_guard_and_profiler():
+    from repro.obs.profile import disable_profile, enable_profile
+
+    guarded = Kernel(guard="fail-open")
+    ctx, _ = _attached(guarded, _trace_agent)
+    assert ctx.trap(NR["getpid"]) == ctx.proc.pid
+    assert guarded.trap_compiled_total == 0
+
+    k = Kernel()
+    ctx, _ = _attached(k, _trace_agent)
+    ctx.trap(NR["getpid"])
+    before = k.trap_compiled_total
+    prof = enable_profile(k, interval_usec=100)
+    ctx.trap(NR["getpid"])
+    assert k.trap_compiled_total == before
+    # The tower keeps the agent frame the row would skip.
+    assert any("agent:symbolic" in line for line in prof.collapsed())
+    disable_profile(k)
+    ctx.trap(NR["getpid"])
+    assert k.trap_compiled_total == before + 1
+
+
+def test_around_row_evicts_on_down_mutation():
+    k = Kernel()
+    ctx, _ = _attached(k, _trace_agent)
+    ctx.trap(NR["getpid"])
+    old = ctx.proc.dispatch
+    assert NR["getpid"] in old
+    SymbolicSyscall().attach(ctx, [])   # a _down mutation: new epoch
+    before = k.trap_compiled_total
+    # The stale around row takes the tower once and evicts itself.
+    assert old[NR["getpid"]](ctx, ()) == ctx.proc.pid
+    assert k.trap_compiled_total == before
+    assert NR["getpid"] not in old
+
+
+def test_decode_without_trap_fast_enters_the_numeric_layer(monkeypatch):
+    from repro.toolkit.numeric import NumericSyscall
+
+    entered = []
+    original = NumericSyscall.handle_syscall
+
+    def spy(self, number, args):
+        entered.append(number)
+        return original(self, number, args)
+
+    monkeypatch.setattr(NumericSyscall, "handle_syscall", spy)
+    for fastpaths, expected in ((TOWER, [NR["getpid"]]), (None, [])):
+        k = Kernel() if fastpaths is None else Kernel(fastpaths=fastpaths)
+        ctx, _ = _attached(k, _trace_agent)
+        del entered[:]
+        assert ctx.trap(NR["getpid"]) == ctx.proc.pid
+        assert entered == expected
 
 
 def test_task_set_emulation_invalidates_table():
@@ -157,6 +234,28 @@ def test_down_epoch_retires_stale_chains():
     assert isinstance(pid, int)
     # The restacked chain compiles too (both layers are transparent).
     assert k.trap_compiled_total == before + 1
+
+
+class _CountingDowncalls(SymbolicSyscall):
+    """Overrides the downcall entry point, which syscall_down must keep
+    calling."""
+
+    def __init__(self):
+        super().__init__()
+        self.downs = 0
+
+    def syscall_down_numeric(self, number, args):
+        self.downs += 1
+        return super().syscall_down_numeric(number, args)
+
+
+def test_syscall_down_numeric_override_keeps_its_downcalls():
+    k = Kernel()
+    ctx, agent = _attached(k, _CountingDowncalls)
+    assert ctx.trap(NR["getpid"]) == ctx.proc.pid
+    assert agent.syscall_down("getpid") == ctx.proc.pid
+    assert agent.downs == 2
+    assert k.trap_compiled_total == 1
 
 
 # -- stand-down matrix -----------------------------------------------------
@@ -253,9 +352,9 @@ def test_guard_stands_down():
 # -- behavioural parity ----------------------------------------------------
 
 
-def _interposed_outcome(fastpaths, name, *args):
+def _interposed_outcome(fastpaths, name, *args, agent_cls=SymbolicSyscall):
     k = Kernel() if fastpaths is None else Kernel(fastpaths=fastpaths)
-    ctx, _ = _attached(k)
+    ctx, _ = _attached(k, agent_cls)
     try:
         return ("ok", ctx.trap(NR[name], *args))
     except SyscallError as err:
@@ -292,6 +391,23 @@ def test_over_arity_crash_parity():
     tower = _interposed_outcome(TOWER, "getpid", 1, 2, 3, 4, 5)
     assert compiled == tower
     assert compiled[0] == "crash"
+
+
+@pytest.mark.parametrize("name,args", [
+    ("getpid", (1, 2, 3, 4, 5)),   # over-arity: the tower's TypeError
+    ("close", (99,)),              # EBADF, errno-only as the tower's
+    ("stat", ("/missing",)),       # ENOENT, the kernel's message dropped
+    ("mkdir", ("/made",)),         # default mode filled by the decode
+    ("pipe", ()),                  # a two-register result
+])
+def test_around_outcome_parity(name, args):
+    """Through the trace agent's around row and its decode row, results,
+    errnos and the over-arity crash are the tower's."""
+    compiled = _interposed_outcome(None, name, *args, agent_cls=_trace_agent)
+    tower = _interposed_outcome(TOWER, name, *args, agent_cls=_trace_agent)
+    assert compiled == tower
+    if name == "getpid":
+        assert compiled[0] == "crash"
 
 
 def _observed_accounting(fastpaths):
@@ -574,8 +690,8 @@ def test_record_replay_roundtrip_with_compiled_enabled():
 def test_tower_recording_replays_on_rows(stack):
     """make recorded on the tower (no obs) replays on the default
     config: a recorded trap takes the same row as an unrecorded one,
-    and the rows make exactly the tower's decisions.  deep compiles no
-    entry chain (its top agent is opaque) and guards the rest."""
+    and the rows make exactly the tower's decisions.  deep's top agent,
+    the monitor, takes around rows."""
     recorder = Recorder(mode=RECORD)
     kernel, status = run_workload("make", stack, recorder.attach,
                                   fastpaths=TOWER)
@@ -590,8 +706,7 @@ def test_tower_recording_replays_on_rows(stack):
     assert replayer.position == len(recorder.decisions)
     assert replayed_status == status
     assert matrix.output_digest(kernel, directory) == digest
-    if stack != "deep":
-        assert kernel.trap_compiled_total > 0
+    assert kernel.trap_compiled_total > 0
 
 
 def _observed_make(stack, recorder, **boot):
@@ -642,8 +757,62 @@ def test_observed_tower_recording_replays_on_rows(stack):
     assert replayed_events == events
     assert _obs_facts(kernel) == facts
     assert kernel.down_compiled_total > 0
-    if stack != "deep":
-        assert kernel.trap_compiled_total > 0
+    assert kernel.trap_compiled_total > 0
+
+
+def _per_pid(items, pid_of):
+    """*items* grouped by process, in order: the part of a log or event
+    stream that host scheduling of concurrent processes cannot reorder."""
+    out = {}
+    for item in items:
+        out.setdefault(pid_of(item), []).append(item)
+    return out
+
+
+def _around_outputs(workload, stack, fastpaths):
+    """The route-independent content of the trace log or monitor report,
+    the obs event stream and the obs counts for *workload* under
+    *stack*, and the number of traps that took a compiled row."""
+    boot = {} if fastpaths is None else {"fastpaths": fastpaths}
+    kernel, status = run_workload(workload, stack, **boot)
+    assert WEXITSTATUS(status) == 0
+    if stack == "trace":
+        log = kernel.read_file("/tmp/trace.out").decode().splitlines()
+        report = _per_pid(log, lambda line: line.split("]", 1)[0])
+    else:
+        report = kernel.read_file("/tmp/monitor.out")
+    events = []
+
+    def subscribe(observed):
+        observed.obs.bus.subscribe(
+            lambda event: events.append(event.to_tuple()))
+
+    observed, _ = run_workload(workload, stack, subscribe, obs="metrics",
+                               **boot)
+    # Without the sequence number and time, and with the virtual time a
+    # return reports masked: both depend on how concurrent processes
+    # interleaved.
+    stream = [event[2:6] + (re.sub(r"\d+ vusec", "vusec", event[6]),)
+              + event[7:] for event in events]
+    counters, counts, _ = _obs_facts(observed)
+    return ((report, _per_pid(stream, lambda event: event[0]), counters,
+             counts), kernel.trap_compiled_total)
+
+
+@pytest.mark.parametrize("stack", ["trace", "deep"])
+@pytest.mark.parametrize("workload", ["make", "andrew"])
+def test_around_outputs_identical_across_routes(workload, stack):
+    """Under trace and the deep stack (the monitor on top), the around
+    rows produce the tower's trace log, monitor report, obs event
+    stream, counters and histogram counts (per-layer accounting
+    included)."""
+    outputs, compiled = _around_outputs(workload, stack, None)
+    tower_outputs, tower_compiled = _around_outputs(workload, stack, TOWER)
+    assert compiled > 0
+    assert tower_compiled == 0
+    for output, tower_output in zip(outputs, tower_outputs):
+        assert output == tower_output
+    assert len(outputs[1]) > 10
 
 
 def test_obs_streams_identical_compiled_on_off():
