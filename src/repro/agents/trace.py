@@ -129,24 +129,25 @@ class TraceSymbolicSyscall(SymbolicSyscall):
         self._emit("[%d] %s ...\n" % (pid, text))
 
     def handle_syscall(self, number, args):
+        # A call that unwound (execve, exit) left its label behind, and
+        # a call that fails before _pre must not report under it.
+        self._tls.label = None
         try:
             result = super().handle_syscall(number, args)
         except SyscallError as err:
-            label = getattr(self._tls, "label", None)
+            label = self._tls.label
             if label is not None:
                 self._emit(
                     "[%d] ... %s -> %s\n"
                     % (self.ctx.proc.pid, label, errno_name(err.errno))
                 )
-                self._tls.label = None
             raise
-        label = getattr(self._tls, "label", None)
+        label = self._tls.label
         if label is not None:
             self._emit(
                 "[%d] ... %s -> %s\n"
                 % (self.ctx.proc.pid, label, _show(result))
             )
-            self._tls.label = None
         return result
 
     # -- signals ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The kernel proper: process table, dispatch, sleep/wakeup, boot.
 
 One :class:`Kernel` is one booted machine.  Simulated processes run on
-host threads, serialised by a single kernel lock (the classic big-lock
-BSD kernel); blocking system calls sleep on one shared sleep queue and
-recheck their wait condition on every wakeup.
+reused host threads (:class:`repro.kernel.proc.HostThreads`), serialised
+by a single kernel lock (the classic big-lock BSD kernel); blocking
+system calls sleep on one shared sleep queue and recheck their wait
+condition on every wakeup.
 """
 
 import threading
@@ -39,6 +40,7 @@ from repro.kernel.ofile import (
 from repro.kernel.pipe import Pipe
 from repro.kernel.proc import (
     ExecImage,
+    HostThreads,
     Process,
     ProcessExit,
     RUNNING,
@@ -121,6 +123,10 @@ class Kernel:
 
         self._procs = {}
         self._next_pid = 1
+        #: the host threads processes run on; ``host_threads.started``
+        #: counts the threads started
+        self.host_threads = HostThreads()
+        #: join handles of the processes started since the last join
         self._threads = []
         self.panics = []
         #: application system calls issued (trap instructions, not htg
@@ -851,15 +857,9 @@ class Kernel:
             return proc
 
     def _start_process_thread(self, proc, start):
-        thread = threading.Thread(
-            target=self._process_thread,
-            args=(proc, start),
-            name="pid%d" % proc.pid,
-            daemon=True,
-        )
-        proc.thread = thread
-        self._threads.append(thread)
-        thread.start()
+        proc.thread = self.host_threads.run(
+            "pid%d" % proc.pid, self._process_thread, (proc, start))
+        self._threads.append(proc.thread)
 
     def _process_thread(self, proc, start):
         ctx = UserContext(self, proc)
@@ -909,6 +909,7 @@ class Kernel:
             if thread.is_alive():
                 raise RuntimeError("simulated process %s did not exit" % thread.name)
         self._threads = []
+        self.host_threads.retire()
 
     def _raise_panics(self):
         if self.panics:

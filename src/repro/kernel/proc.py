@@ -6,7 +6,11 @@ state, resource accounting, and — the part this reproduction exists for —
 an *emulation vector* mapping system call numbers to user-mode handlers
 (see :mod:`repro.kernel.trap`), with the dispatch table shared by every
 process that has the same vector (see :mod:`repro.kernel.compile`).
+
+Processes run on host threads that a kernel reuses (:class:`HostThreads`).
 """
+
+import threading
 
 from repro.kernel import signals as sig
 from repro.kernel.compile import dispatch_table
@@ -263,13 +267,11 @@ class Process:
         mask = self.pending & ~self.sigmask
         # SIGKILL and SIGSTOP cannot be blocked.
         mask |= self.pending & (sig.sigmask(sig.SIGKILL) | sig.sigmask(sig.SIGSTOP))
-        if not mask:
-            return 0
         effective = 0
-        for signum in range(1, sig.NSIG):
-            bit = sig.sigmask(signum)
-            if not mask & bit:
-                continue
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            signum = bit.bit_length()
             action = self.dispositions[signum].handler
             if action == sig.SIG_IGN and signum not in sig.UNCATCHABLE:
                 continue
@@ -288,13 +290,135 @@ class Process:
         mask = self.deliverable_mask()
         if not mask:
             return None
-        for signum in range(1, sig.NSIG):
-            if mask & sig.sigmask(signum):
-                self.pending &= ~sig.sigmask(signum)
-                return signum
-        return None
+        bit = mask & -mask
+        self.pending &= ~bit
+        return bit.bit_length()
 
     # -- identity -----------------------------------------------------------
 
     def __repr__(self):
         return "<Process pid=%d %s %s>" % (self.pid, self.comm or "?", self.state)
+
+
+# -- host threads ------------------------------------------------------------
+
+#: seconds a parked host thread waits for its next process before it
+#: exits (so a world that never joins its processes leaks no thread)
+IDLE_SECONDS = 1.0
+
+
+class HostThread:
+    """A join handle for one simulated process on a pooled host thread,
+    shaped like the :class:`threading.Thread` it stands in for."""
+
+    __slots__ = ("name", "_running")
+
+    def __init__(self, name):
+        self.name = name
+        #: held from the hand-off until the process's body returns
+        self._running = threading.Lock()
+        self._running.acquire()
+
+    def join(self, timeout=None):
+        """Wait until the process's body has returned, or *timeout*."""
+        if self._running.acquire(timeout=-1 if timeout is None else timeout):
+            self._running.release()
+
+    def is_alive(self):
+        """True while the process's body is still running."""
+        return self._running.locked()
+
+
+class _Worker:
+    __slots__ = ("thread", "wake", "job")
+
+    def __init__(self, job):
+        self.thread = None
+        #: held while the worker is parked; released to hand it a job
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        #: (handle, target, args) to run next; None tells it to exit
+        self.job = job
+
+
+class HostThreads:
+    """The host threads one kernel runs its simulated processes on.
+
+    Unbounded: a process is handed to a parked thread if there is one
+    and to a new :class:`threading.Thread` otherwise, never queued
+    behind a busy one (every process of a pipeline must run at once).
+    Threads are started on demand, inside the run that needs them, so a
+    ``threading.setprofile`` hook set around the run reaches them.
+    :meth:`retire` ends the parked ones; a thread left parked longer
+    than :data:`IDLE_SECONDS` ends itself.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle = []
+        self._workers = []
+        self._retiring = False
+        #: host threads started over the kernel's life
+        self.started = 0
+
+    def run(self, name, target, args):
+        """Run ``target(*args)`` on a host thread; returns its join
+        handle (a :class:`HostThread` named *name*)."""
+        handle = HostThread(name)
+        job = (handle, target, args)
+        with self._lock:
+            if self._idle:
+                worker = self._idle.pop()
+                worker.job = job
+                worker.wake.release()
+                return handle
+            worker = _Worker(job)
+            self.started += 1
+            worker.thread = threading.Thread(
+                target=self._work, args=(worker,),
+                name="host%d" % self.started, daemon=True)
+            self._workers.append(worker)
+        worker.thread.start()
+        return handle
+
+    def _work(self, worker):
+        job = worker.job
+        while job is not None:
+            handle, target, args = job
+            worker.job = job = None
+            try:
+                target(*args)
+            finally:
+                handle._running.release()
+            # park without holding on to the finished process
+            handle = target = args = None
+            job = self._park(worker)
+
+    def _park(self, worker):
+        with self._lock:
+            if self._retiring:
+                return None
+            self._idle.append(worker)
+        if not worker.wake.acquire(timeout=IDLE_SECONDS):
+            with self._lock:
+                if worker in self._idle:
+                    self._idle.remove(worker)
+                    self._workers.remove(worker)
+                    return None
+            # a hand-off popped this worker as the wait timed out; its
+            # release is on the way
+            worker.wake.acquire()
+        return worker.job
+
+    def retire(self):
+        """End every thread once its process has finished and wait for
+        each to exit.  Call only when no process is running."""
+        with self._lock:
+            self._retiring = True
+            idle, self._idle = self._idle, []
+            workers, self._workers = self._workers, []
+        for worker in idle:
+            worker.wake.release()
+        for worker in workers:
+            worker.thread.join()
+        self._retiring = False

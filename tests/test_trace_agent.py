@@ -111,3 +111,74 @@ def test_workload_output_unchanged_under_trace(world):
         ["sh", "-c", "ls /bin | wc"],
     )
     assert world.console.take_output() == expected
+
+
+#: a call number with no table entry, so no ``sys_*`` body: it fails
+#: with ENOSYS below the agent, before any ``_pre`` line is written
+_UNKNOWN = 987
+
+
+def _trap_unknown(ctx):
+    from repro.kernel.errno import ENOSYS, SyscallError
+
+    try:
+        ctx.trap(_UNKNOWN)
+    except SyscallError as err:
+        return 0 if err.errno == ENOSYS else 1
+    return 1
+
+
+def _result_lines(log):
+    return [line for line in log.splitlines() if "-> ENOSYS" in line]
+
+
+def test_failed_call_after_traced_exec_reports_no_stale_label(world):
+    from repro.kernel.sysent import number_of
+
+    agent = TraceSymbolicSyscall("/tmp/trace.out")
+    world.register_program("unknown-caller",
+                           lambda ctx, argv, envp: _trap_unknown(ctx))
+    world.install_binary("/bin/unknown-caller", "unknown-caller")
+
+    def main(ctx):
+        agent.attach(ctx)
+        agent.register_interest(_UNKNOWN)
+        ctx.trap(number_of("execve"), "/bin/unknown-caller",
+                 ["unknown-caller"], {})
+
+    assert WEXITSTATUS(world.run_entry(main)) == 0
+    log = world.read_file("/tmp/trace.out").decode()
+    assert "execve('/bin/unknown-caller'" in log
+    # The execve unwound without a result line; the failed call that
+    # followed must not be reported as its result.
+    assert _result_lines(log) == []
+
+
+def test_failed_call_on_a_reused_host_thread_reports_no_stale_label(world):
+    import time
+
+    from repro.kernel.sysent import number_of
+
+    agent = TraceSymbolicSyscall("/tmp/trace.out")
+    pool = world.host_threads
+
+    def main(ctx):
+        agent.attach(ctx)
+        agent.register_interest(_UNKNOWN)
+        # The first child's traced exit unwinds on its host thread...
+        ctx.trap(number_of("fork"), lambda child: 0)
+        ctx.trap(number_of("wait"))
+        deadline = time.monotonic() + 10
+        while not pool._idle and time.monotonic() < deadline:
+            time.sleep(0.001)
+        started = pool.started
+        # ...and the second child runs on that same thread.
+        ctx.trap(number_of("fork"), _trap_unknown)
+        _, status = ctx.trap(number_of("wait"))
+        assert pool.started == started
+        return WEXITSTATUS(status)
+
+    assert WEXITSTATUS(world.run_entry(main)) == 0
+    log = world.read_file("/tmp/trace.out").decode()
+    assert log.count("exit(0) ...") >= 2
+    assert _result_lines(log) == []
